@@ -1,10 +1,9 @@
 """Sample covariances and squared sample canonical correlations.
 
-The stable path never inverts a covariance block: it orthonormalizes the row
-spaces of the two data matrices and takes singular values of the product of
-the bases, which equal the cosines of the principal angles between the row
-spaces.  Their squares are the eigenvalues of the canonical correlation
-matrix.  A direct brute-force eigensolve of the textbook matrix product is
+The stable path never inverts a covariance block: it takes singular values of
+the product of the pair's cached orthonormal row-space bases, which equal the
+cosines of the principal angles between the row spaces.  Their squares are
+the eigenvalues of the canonical correlation matrix.  A direct brute-force eigensolve of the textbook matrix product is
 kept as an oracle for small problems.
 """
 
@@ -15,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError, SpectrumRangeError
-from .sampler import DataPair
-
-#: relative eigenvalue floor below which a covariance block counts as singular
-COND_THRESHOLD = 1e-10
+from .sampler import COND_THRESHOLD, DataPair
 
 #: numerical slack allowed outside [0, 1] before clamping
 RANGE_SLACK = 1e-10
@@ -75,19 +71,6 @@ def _clamp_spectrum(lam: np.ndarray, method: str) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def _row_space_basis(M: np.ndarray, block: str) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of M, with a rank guard.
-
-    The condition check mirrors the covariance block M M'/n: it fails when the
-    smallest eigenvalue drops below COND_THRESHOLD times the largest.
-    """
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
-        cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-        raise SingularityError(block, cond)
-    return vh
-
-
 def squared_canonical_correlations(pair: DataPair) -> EigenReport:
     """Squared sample canonical correlations by the projection method.
 
@@ -99,9 +82,7 @@ def squared_canonical_correlations(pair: DataPair) -> EigenReport:
         raise ConfigurationError(
             f"need p < n and q < n, got p = {pair.p}, q = {pair.q}, n = {pair.n}"
         )
-    qx = _row_space_basis(pair.X, "Sxx")
-    qy = _row_space_basis(pair.Y, "Syy")
-    sigma = np.linalg.svd(qx @ qy.T, compute_uv=False)
+    sigma = np.linalg.svd(pair.basis_x @ pair.basis_y.T, compute_uv=False)
     lam = _clamp_spectrum(sigma * sigma, "stable")
     return EigenReport(lambdas=lam, p=pair.p, q=pair.q, n=pair.n, method="stable")
 

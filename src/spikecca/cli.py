@@ -2,11 +2,14 @@
 
 Results are emitted as JSON (nested payload) or CSV (the same payload
 flattened to key/value rows with dotted paths).  Both formats carry floats at
-full round-trip precision, and no timestamps, so a fixed seed reproduces the
-output byte for byte.
+full round-trip precision, and no timestamps.  A fixed seed reproduces the
+sampled matrices bit for bit at any BLAS thread count; it reproduces the
+output byte for byte only on a fixed numpy/scipy/BLAS build run with a fixed
+BLAS thread count, since the factorizations' last bits depend on both.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
-3 numerical failure (singularity or branch errors).
+Exit codes: 0 success, 1 usage or configuration error (non-finite input
+included), 2 I/O error, 3 numerical failure (singularity, branch or LAPACK
+errors).
 """
 
 from __future__ import annotations
@@ -40,30 +43,6 @@ def default_detect_margin(n: int) -> float:
     small runs sane.
     """
     return max(0.02, 2.0 * float(n) ** (-2.0 / 3.0))
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Simulation outcome: per-replicate eigenvalues, aggregates, theory, plot data.
-
-    The theory block depends only on the dimension ratios and spikes, never on
-    the random draws.
-    """
-
-    config: dict
-    theory: dict
-    replicates: list
-    aggregate: dict
-    plot: dict
-
-    def as_payload(self) -> dict:
-        return {
-            "config": self.config,
-            "theory": self.theory,
-            "replicates": self.replicates,
-            "aggregate": self.aggregate,
-            "plot": self.plot,
-        }
 
 
 @dataclass(frozen=True)
@@ -127,12 +106,14 @@ def theory_block(ratios: DimensionRatios, spikes: SpikeSpectrum) -> dict:
     }
 
 
-def run_replicate(model: ModelConfig, top_m: int, index: int) -> np.ndarray:
-    """Top eigenvalues of one replicate under the derived per-replicate stream.
+def run_replicate(
+    model: ModelConfig, top_m: int, index: int
+) -> tuple[sampler.DataPair, np.ndarray]:
+    """One replicate under the derived per-replicate stream: its pair and top eigenvalues.
 
     Uses the coupled sampler; a spectrum containing a unit spike falls back to
     the joint-covariance sampler, which realizes the deterministic unit
-    eigenvalue directly.
+    eigenvalue directly but retains no latent.
     """
     rng = sampler.replicate_rng(model.seed, index)
     if any(r == 1.0 for r in model.spikes.r):
@@ -140,26 +121,29 @@ def run_replicate(model: ModelConfig, top_m: int, index: int) -> np.ndarray:
     else:
         pair = sampler.sample_coupled(model, rng)
     report = cca.squared_canonical_correlations(pair)
-    return report.lambdas[:top_m]
+    return pair, report.lambdas[:top_m]
+
+
+def _outliers(lambdas: np.ndarray, threshold: float) -> list[tuple[int, float]]:
+    """(rank, eigenvalue) of every eigenvalue above the detection threshold."""
+    return [(rank, float(lam)) for rank, lam in enumerate(lambdas) if lam > threshold]
 
 
 def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: float) -> list[dict]:
-    rows = []
-    for rank, lam in enumerate(lambdas):
-        if lam > threshold:
-            rows.append(
-                {"rank": rank, "lambda": float(lam), "r_hat": rmt.gamma_inverse(float(lam), ratios)}
-            )
-    return rows
+    return [
+        {"rank": rank, "lambda": lam, "r_hat": rmt.gamma_inverse(lam, ratios)}
+        for rank, lam in _outliers(lambdas, threshold)
+    ]
 
 
-def simulate_run(
-    config: ExperimentConfig, replicate_order: list[int] | None = None
-) -> RunResult:
-    """Run the Monte Carlo experiment and assemble the result.
+def simulate_run(config: ExperimentConfig, replicate_order: list[int] | None = None) -> dict:
+    """Run the Monte Carlo experiment and assemble its payload.
 
-    ``replicate_order`` only changes the execution order; the result is
-    aggregated by replicate index and therefore identical for any order.
+    The payload holds per-replicate eigenvalues, aggregates, theory and plot
+    data; the theory block depends only on the dimension ratios and spikes,
+    never on the random draws.  ``replicate_order`` only changes the
+    execution order; the result is aggregated by replicate index and
+    therefore identical for any order.
     """
     model = config.model
     ratios = model.ratios
@@ -168,7 +152,7 @@ def simulate_run(
     order = list(range(config.replicates)) if replicate_order is None else list(replicate_order)
     tops: dict[int, np.ndarray] = {}
     for index in order:
-        tops[index] = run_replicate(model, config.top_m, index)
+        tops[index] = run_replicate(model, config.top_m, index)[1]
     top_matrix = np.vstack([tops[i] for i in range(config.replicates)])
     replicate_rows = [
         {
@@ -179,8 +163,8 @@ def simulate_run(
         for i in range(config.replicates)
     ]
     ddof = 1 if config.replicates > 1 else 0
-    return RunResult(
-        config={
+    return {
+        "config": {
             "p": model.p,
             "q": model.q,
             "n": model.n,
@@ -190,13 +174,13 @@ def simulate_run(
             "top_m": config.top_m,
             "detect_margin": config.detect_margin,
         },
-        theory=theory,
-        replicates=replicate_rows,
-        aggregate={
+        "theory": theory,
+        "replicates": replicate_rows,
+        "aggregate": {
             "mean_top": [float(v) for v in top_matrix.mean(axis=0)],
             "sd_top": [float(v) for v in top_matrix.std(axis=0, ddof=ddof)],
         },
-        plot={
+        "plot": {
             "eigenvalue_rug": [float(v) for v in np.sort(top_matrix.ravel())[::-1]],
             "theory_lines": {
                 "d_left": theory["d_left"],
@@ -205,7 +189,7 @@ def simulate_run(
                 "gamma": [row["gamma"] for row in theory["spikes"] if row["gamma"] is not None],
             },
         },
-    )
+    }
 
 
 def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> dict:
@@ -252,16 +236,13 @@ def verify_run(config: ExperimentConfig, probe_z: float | None = None) -> dict:
     rows = []
     residuals = []
     for index in range(config.replicates):
-        rng = sampler.replicate_rng(model.seed, index)
-        pair = sampler.sample_coupled(model, rng)
-        report = cca.squared_canonical_correlations(pair)
+        pair, top = run_replicate(model, config.top_m, index)
         oracle = detverify.DeterminantOracle(pair)
         outliers = []
-        for lam in report.lambdas[: config.top_m]:
-            if lam > threshold:
-                det = oracle.normalized_det(float(lam))
-                residuals.append(abs(det))
-                outliers.append({"lambda": float(lam), "normalized_det": det})
+        for _, lam in _outliers(top, threshold):
+            det = oracle.normalized_det(lam)
+            residuals.append(abs(det))
+            outliers.append({"lambda": lam, "normalized_det": det})
         comparison = detverify.MnComparison(
             finite=oracle.reduced_matrix(z), limit=oracle.limit_matrix(z)
         )
@@ -272,7 +253,7 @@ def verify_run(config: ExperimentConfig, probe_z: float | None = None) -> dict:
                 "mn_max_abs_diff": comparison.max_abs_diff(),
             }
         )
-    payload = {
+    return {
         "config": {
             "p": model.p,
             "q": model.q,
@@ -291,7 +272,6 @@ def verify_run(config: ExperimentConfig, probe_z: float | None = None) -> dict:
             "max_mn_diff": max(r["mn_max_abs_diff"] for r in rows),
         },
     }
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs = (args.format,) if args.format else ("json",)
         elif args.command == "simulate":
             config = resolve_experiment(args)
-            payload = simulate_run(config).as_payload()
+            payload = simulate_run(config)
             outputs = config.outputs
         elif args.command == "estimate":
             X = load_matrix(args.x)
@@ -556,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except SpikeCcaError as exc:  # pragma: no cover - defensive catch-all

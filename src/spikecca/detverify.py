@@ -9,8 +9,12 @@ not an eigenvalue of the null matrix must be a root of
 
 where Delta = U V is a thin factorization into k^2 + 2k columns and
 Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side resolvent.
-This module builds the factors, evaluates the resolvent through a projection
-split (never through explicit covariance inverses), evaluates the reduced
+With Q the pair's cached row-space basis of Y (the one the canonical
+correlations use), Swy Syy^{-1} Syw = E = (W Q')(W Q')'/n.  One generalized
+eigendecomposition E v = mu Sww v of this null pencil, normalized so that
+V' Sww V = I, gives Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the
+mu are the squared canonical correlations of the null pair (W, Y).  This
+module builds the factors, evaluates the resolvent and the reduced
 determinant, and compares the finite-sample matrix M_n(z) = I + (1-z) V
 Phi(z) U entrywise with its deterministic limit.
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     DomainError,
@@ -60,7 +65,7 @@ class MnComparison:
 
 
 class DeterminantOracle:
-    """Workspace caching the null-side blocks of one data pair.
+    """Workspace caching the null-side pencil and the factors of one data pair.
 
     Use this class directly when evaluating the determinant or the resolvent
     at many points; the module-level functions rebuild it per call.
@@ -74,48 +79,41 @@ class DeterminantOracle:
             )
         self.pair = pair
         W = pair.latent.W
-        Y = pair.Y
         n = pair.n
         self.k = pair.latent.k
         self.t = np.diagonal(pair.latent.T)[: self.k].copy()
         self.S_ww = W @ W.T / n
-        self.S_wy = W @ Y.T / n
-        self.S_yy = Y @ Y.T / n
-        # Projection split of the null resolvent argument: with Q an
-        # orthonormal basis of the row space of Y, E = (W Q')(W Q')'/n and
-        # H = Sww - E computed from the residual, so no inverse of Syy is
-        # ever formed.
-        q_basis = np.linalg.svd(Y, full_matrices=False)[2]
-        A = W @ q_basis.T
+        self.S_wy = W @ pair.Y.T / n
+        self.S_yy = pair.Y @ pair.Y.T / n
+        A = W @ pair.basis_y.T
         self.E = A @ A.T / n
-        resid = W - A @ q_basis
-        self.H = resid @ resid.T / n
+        # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
+        self.mu, self.vecs = eigh(self.E, self.S_ww)
+        self._factors: PerturbationFactors | None = None
 
     # -- factorization ----------------------------------------------------
 
     def factors(self) -> PerturbationFactors:
+        """U and V with Delta = U V, built and checked once per oracle."""
+        if self._factors is not None:
+            return self._factors
         if self.k < 1:
             raise UnsupportedModelError("factorization needs at least one spike")
         p, k, t = self.pair.p, self.k, self.t
         chi = np.outer(t, t) * self.S_yy[:k, :k]
         u_vecs = self.S_wy[:, :k]
-
-        def unit(i: int) -> np.ndarray:
-            e = np.zeros(p)
-            e[i] = 1.0
-            return e
-
+        unit = np.eye(p)
         u_cols, v_rows = [], []
         for i in range(k):
-            e_i = unit(i)
+            e_i = unit[i]
             u_cols += [chi[i, i] * e_i, t[i] * e_i, t[i] * u_vecs[:, i]]
             v_rows += [e_i, u_vecs[:, i], e_i]
         for i in range(k):
             for j in range(k):
                 if j == i:
                     continue
-                u_cols.append(chi[i, j] * unit(j))
-                v_rows.append(unit(i))
+                u_cols.append(chi[i, j] * unit[j])
+                v_rows.append(unit[i])
         U = np.column_stack(u_cols)
         V = np.vstack(v_rows)
         delta = U @ V
@@ -129,25 +127,24 @@ class DeterminantOracle:
                 f"factorization check failed: |UV - Delta| = {err:.3e} "
                 f"exceeds {_DELTA_CHECK_TOL:.0e} relative"
             )
-        return PerturbationFactors(U=U, V=V, Delta=delta)
+        self._factors = PerturbationFactors(U=U, V=V, Delta=delta)
+        return self._factors
 
     # -- resolvent and determinant ----------------------------------------
 
-    def resolvent_argument(self, lam: float) -> np.ndarray:
-        return (1.0 - lam) * self.E - lam * self.H
-
     def phi(self, lam: float) -> np.ndarray:
-        arg = self.resolvent_argument(lam)
-        svals = np.linalg.svd(arg, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] <= 1e-10 * svals[0]:
-            cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
+        """Phi(lam) = (E - lam Sww)^{-1} = V diag(1 / (mu - lam)) V'."""
+        gaps = self.mu - lam
+        nearest, farthest = np.min(np.abs(gaps)), np.max(np.abs(gaps))
+        if farthest == 0.0 or nearest <= 1e-10 * farthest:
+            cond = np.inf if nearest == 0.0 else farthest / nearest
             raise ResolventSingularityError(
                 "resolvent argument",
                 cond,
                 f"lam = {lam} is too close to a null-case eigenvalue "
                 f"(condition estimate {cond:.3e})",
             )
-        return np.linalg.inv(arg)
+        return (self.vecs / gaps) @ self.vecs.T
 
     def reduced_matrix(self, lam: float) -> np.ndarray:
         factors = self.factors()
@@ -199,7 +196,7 @@ def build_factors(pair: DataPair) -> PerturbationFactors:
 
 
 def phi_matrix(pair: DataPair, lam: float) -> np.ndarray:
-    """Null-side resolvent Phi(lam), via the projection split of its argument."""
+    """Null-side resolvent Phi(lam), via the generalized eigenpairs of the null pencil."""
     return DeterminantOracle(pair).phi(lam)
 
 

@@ -19,14 +19,18 @@ matrices bitwise reproducible for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigurationError, UnsupportedModelError
+from .errors import ConfigurationError, SingularityError, UnsupportedModelError
 from .model import ModelConfig, mixing_weights, spike_to_t
 
 _MIN_UNIFORM = 2.0**-55
+
+#: relative eigenvalue floor below which a covariance block counts as singular
+COND_THRESHOLD = 1e-10
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -69,9 +73,26 @@ class Latent:
     k: int
 
 
+def _row_space_basis(M: np.ndarray, block: str) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space of M, with a rank guard.
+
+    The condition check mirrors the covariance block M M'/n: it fails when the
+    smallest eigenvalue drops below COND_THRESHOLD times the largest.
+    """
+    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+        cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+        raise SingularityError(block, cond)
+    return vh
+
+
 @dataclass(frozen=True)
 class DataPair:
-    """Paired data matrices X (p x n) and Y (q x n), columns are samples."""
+    """Paired data matrices X (p x n) and Y (q x n), columns are samples.
+
+    X and Y are finite and read-only, so their guarded row-space bases are
+    factorized once, on first use, and shared by every consumer of the pair.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -86,6 +107,8 @@ class DataPair:
             raise ConfigurationError(
                 f"X and Y must share the sample dimension: {X.shape} vs {Y.shape}"
             )
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            raise ConfigurationError("X and Y must hold only finite values (no NaN or inf)")
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -102,6 +125,16 @@ class DataPair:
     @property
     def n(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def basis_x(self) -> np.ndarray:
+        """Orthonormal rows spanning the row space of X; raises if Sxx is singular."""
+        return _row_space_basis(self.X, "Sxx")
+
+    @cached_property
+    def basis_y(self) -> np.ndarray:
+        """Orthonormal rows spanning the row space of Y; raises if Syy is singular."""
+        return _row_space_basis(self.Y, "Syy")
 
 
 def _coupling_matrix(config: ModelConfig) -> np.ndarray:

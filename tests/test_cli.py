@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikecca import ModelConfig, SpikeSpectrum, sample_coupled
+from spikecca import ModelConfig, SpikeSpectrum, cca, sample_coupled
 from spikecca.cli import (
     ExperimentConfig,
     default_detect_margin,
@@ -280,6 +281,28 @@ def test_estimate_singular_data_exit_three(tmp_path, capsys):
     assert "singular" in err.lower()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_non_finite_entry_exit_one(tmp_path, capsys, bad):
+    cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum(()), seed=8)
+    pair = sample_coupled(cfg)
+    Y = np.array(pair.Y)
+    Y[3, 7] = bad
+    x_path, y_path = write_pair(tmp_path, SimpleNamespace(X=pair.X, Y=Y))
+    code, _, err = run_cli(capsys, ["estimate", "--x", x_path, "--y", y_path])
+    assert code == 1
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_lapack_failure_exit_three(monkeypatch, capsys):
+    def failing(pair):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cca, "squared_canonical_correlations", failing)
+    code, _, err = run_cli(capsys, simulate_args())
+    assert code == 3
+    assert "SVD did not converge" in err
+
+
 def test_load_matrix_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n4,5\n")
@@ -308,6 +331,15 @@ def test_verify_subcritical_spikes_certify_nothing():
     payload = verify_run(ExperimentConfig(model=model, replicates=2, top_m=5))
     assert payload["summary"]["outliers_certified"] == 0
     assert payload["summary"]["max_normalized_det"] is None
+
+
+def test_verify_unit_spike_exit_one(capsys):
+    code, _, err = run_cli(
+        capsys, ["verify", "--p", "20", "--q", "30", "--n", "200", "--spikes", "1.0,0.5"]
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_needs_a_spike(capsys):

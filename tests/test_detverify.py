@@ -7,9 +7,11 @@ from spikecca import (
     Latent,
     ModelConfig,
     ResolventSingularityError,
+    SingularityError,
     SpikeSpectrum,
     UnsupportedModelError,
     build_factors,
+    coupling_product,
     f,
     finite_n_det,
     mn_entry_convergence,
@@ -100,8 +102,12 @@ def test_resolvent_matches_direct_formula(spiked_pair):
 
 
 def test_projection_split_sums_to_covariance(spiked_pair):
+    # the null pencil (E, Sww) is diagonalized by Sww-orthonormal eigenvectors
     oracle = DeterminantOracle(spiked_pair)
-    assert np.max(np.abs(oracle.E + oracle.H - oracle.S_ww)) < 1e-12
+    vecs = oracle.vecs
+    identity = np.eye(spiked_pair.p)
+    assert np.max(np.abs(vecs.T @ oracle.S_ww @ vecs - identity)) < 1e-12
+    assert np.max(np.abs(vecs.T @ oracle.E @ vecs - np.diag(oracle.mu))) < 1e-12
 
 
 def test_resolvent_singularity_detected(spiked_pair):
@@ -114,14 +120,27 @@ def test_resolvent_singularity_detected(spiked_pair):
 
 def test_wishart_trace_moment():
     p, q, n = 40, 80, 400
-    traces_e, traces_h = [], []
+    traces_e = []
     for i in range(120):
         cfg = ModelConfig(p=p, q=q, n=n, spikes=SpikeSpectrum((0.5,)), seed=31)
         oracle = DeterminantOracle(sample_coupled(cfg, replicate_rng(cfg.seed, i)))
         traces_e.append(np.trace(oracle.E))
-        traces_h.append(np.trace(oracle.H))
     mean_e = float(np.mean(traces_e))
     assert abs(mean_e - p * q / n) < 0.05 * p * q / n
+
+
+def test_rank_deficient_y_is_reported():
+    # a duplicated row of Y makes Syy singular; the oracle must not build a
+    # resolvent from a spurious basis direction
+    cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=12)
+    latent = sample_coupled(cfg).latent
+    Y = np.array(sample_coupled(cfg).Y)
+    Y[1] = Y[0]
+    pair = DataPair(X=latent.W + coupling_product(latent.T, Y), Y=Y, latent=latent)
+    for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
+        with pytest.raises(SingularityError) as info:
+            compute(pair)
+        assert info.value.block == "Syy"
 
 
 def test_projection_split_independence_proxy():
@@ -140,6 +159,26 @@ def test_projection_split_independence_proxy():
 
 
 # -- determinant --------------------------------------------------------------------
+
+
+def test_pair_is_factorized_once(monkeypatch):
+    cfg = ModelConfig(p=30, q=50, n=300, spikes=SpikeSpectrum((0.8, 0.6)), seed=5)
+    pair = sample_coupled(cfg)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = squared_canonical_correlations(pair)
+    oracle = DeterminantOracle(pair)
+    for lam in report.lambdas[:2]:
+        oracle.normalized_det(float(lam))
+    oracle.reduced_matrix(0.8)
+    assert shapes.count(pair.Y.shape) == 1
+    assert oracle.factors() is oracle.factors()
 
 
 def test_outlier_roots(spiked_pair):
