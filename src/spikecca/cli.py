@@ -7,15 +7,20 @@ sampled matrices bit for bit at any BLAS thread count; it reproduces the
 output byte for byte only on a fixed numpy/scipy/BLAS build run with a fixed
 BLAS thread count, since the factorizations' last bits depend on both.
 
-Exit codes: 0 success, 1 usage or configuration error (non-finite input
-included), 2 I/O error, 3 numerical failure (singularity, branch or LAPACK
-errors).
+Config values are checked, never converted: p, q, n, seed, replicates and
+top_m must be integers, spikes a list of numbers or a comma-separated string,
+detect_margin a positive finite number.
+
+Exit codes: 0 success, 1 usage or configuration error (malformed config
+values or CSV entries, non-finite input included), 2 I/O error, 3 numerical
+failure (singularity, branch or LAPACK errors).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +50,15 @@ def default_detect_margin(n: int) -> float:
     return max(0.02, 2.0 * float(n) ** (-2.0 / 3.0))
 
 
+def _detect_margin(margin, n: int) -> float:
+    """``default_detect_margin(n)`` for None; otherwise a finite number > 0."""
+    if margin is None:
+        return default_detect_margin(n)
+    if isinstance(margin, bool) or not (isinstance(margin, (int, float)) and 0 < margin < math.inf):
+        raise ConfigurationError(f"detect_margin must be a positive finite number, got {margin!r}")
+    return float(margin)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A Monte Carlo experiment: model plus orchestration parameters."""
@@ -56,22 +70,19 @@ class ExperimentConfig:
     outputs: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
-        if not (1 <= self.top_m <= min(self.model.p, self.model.q)):
+        if not (type(self.replicates) is int and self.replicates >= 1):
+            raise ConfigurationError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not (type(self.top_m) is int and 1 <= self.top_m <= min(self.model.p, self.model.q)):
             raise ConfigurationError(
-                f"top_m must lie in [1, min(p, q)] = [1, {min(self.model.p, self.model.q)}], "
-                f"got {self.top_m}"
+                f"top_m must be an integer in [1, min(p, q)] = "
+                f"[1, {min(self.model.p, self.model.q)}], got {self.top_m!r}"
             )
-        margin = self.detect_margin
-        if margin is None:
-            margin = default_detect_margin(self.model.n)
-        elif margin <= 0:
-            raise ConfigurationError(f"detect_margin must be positive, got {margin}")
-        object.__setattr__(self, "detect_margin", float(margin))
-        bad = [fmt for fmt in self.outputs if fmt not in _FORMATS]
-        if bad:
-            raise ConfigurationError(f"unknown output formats {bad}; choose from {_FORMATS}")
+        object.__setattr__(self, "detect_margin", _detect_margin(self.detect_margin, self.model.n))
+        outputs = self.outputs
+        if not (isinstance(outputs, (list, tuple)) and outputs
+                and all(fmt in _FORMATS for fmt in outputs)):
+            raise ConfigurationError(f"outputs must list one or more of {_FORMATS}, got {outputs!r}")
+        object.__setattr__(self, "outputs", tuple(outputs))
 
 
 def theory_block(ratios: DimensionRatios, spikes: SpikeSpectrum) -> dict:
@@ -136,24 +147,20 @@ def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: floa
     ]
 
 
-def simulate_run(config: ExperimentConfig, replicate_order: list[int] | None = None) -> dict:
+def simulate_run(config: ExperimentConfig) -> dict:
     """Run the Monte Carlo experiment and assemble its payload.
 
     The payload holds per-replicate eigenvalues, aggregates, theory and plot
     data; the theory block depends only on the dimension ratios and spikes,
-    never on the random draws.  ``replicate_order`` only changes the
-    execution order; the result is aggregated by replicate index and
-    therefore identical for any order.
+    never on the random draws.  Row i depends only on replicate i's stream.
     """
     model = config.model
     ratios = model.ratios
     theory = theory_block(ratios, model.spikes)
     threshold = theory["d_right"] + config.detect_margin
-    order = list(range(config.replicates)) if replicate_order is None else list(replicate_order)
-    tops: dict[int, np.ndarray] = {}
-    for index in order:
-        tops[index] = run_replicate(model, config.top_m, index)[1]
-    top_matrix = np.vstack([tops[i] for i in range(config.replicates)])
+    top_matrix = np.vstack(
+        [run_replicate(model, config.top_m, i)[1] for i in range(config.replicates)]
+    )
     replicate_rows = [
         {
             "index": i,
@@ -196,9 +203,7 @@ def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> d
     """Estimate spikes from data matrices (rows are variables, columns samples)."""
     pair = sampler.DataPair(X=X, Y=Y)
     ratios = ratios_from_dims(pair.p, pair.q, pair.n)
-    margin = default_detect_margin(pair.n) if detect_margin is None else float(detect_margin)
-    if margin <= 0:
-        raise ConfigurationError(f"detect_margin must be positive, got {margin}")
+    margin = _detect_margin(detect_margin, pair.n)
     law = rmt.wachter_edges(ratios)
     report = cca.squared_canonical_correlations(pair)
     threshold = law.d_right + margin
@@ -217,22 +222,22 @@ def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> d
     }
 
 
-def verify_run(config: ExperimentConfig, probe_z: float | None = None) -> dict:
+def verify_run(config: ExperimentConfig) -> dict:
     """Certify detected outliers against the finite-sample determinant.
 
     For each replicate the normalized determinant is evaluated at every
     detected outlier (it should vanish), and the reduced matrix M_n is
-    compared entrywise with its limit at a probe point beyond the bulk.
+    compared entrywise with its limit at the probe point z = (d_right + 1) / 2.
     """
     model = config.model
     if model.spikes.k < 1:
         raise ConfigurationError("verification needs at least one spike")
+    if 1.0 in model.spikes.r:
+        raise UnsupportedModelError("verify: a unit spike r = 1 leaves no latent (W, T) to certify")
     ratios = model.ratios
     theory = theory_block(ratios, model.spikes)
     threshold = theory["d_right"] + config.detect_margin
-    z = (theory["d_right"] + 1.0) / 2.0 if probe_z is None else float(probe_z)
-    if not (theory["d_right"] < z):
-        raise ConfigurationError(f"probe z must exceed d_right = {theory['d_right']}, got {z}")
+    z = (theory["d_right"] + 1.0) / 2.0
     rows = []
     residuals = []
     for index in range(config.replicates):
@@ -358,29 +363,19 @@ def load_matrix(path: str) -> np.ndarray:
     A first line containing any non-numeric token is treated as a header.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+        lines = [line for line in handle if line.strip()]
     if not lines:
         raise ConfigurationError(f"matrix file {path} is empty")
-    start = 0
     try:
         [float(tok) for tok in lines[0].split(",")]
     except ValueError:
-        start = 1
-    if start >= len(lines):
+        lines = lines[1:]
+    if not lines:
         raise ConfigurationError(f"matrix file {path} has a header but no data")
-    rows = []
-    width = None
-    for line in lines[start:]:
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise ConfigurationError(f"non-numeric entry in {path}: {line!r}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ConfigurationError(f"ragged rows in {path}")
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed matrix file {path}: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -414,7 +409,7 @@ def resolve_experiment(args) -> ExperimentConfig:
         if flag is not None:
             values[key] = flag
     if getattr(args, "spikes", None) is not None:
-        values["spikes"] = _parse_spikes(args.spikes)
+        values["spikes"] = args.spikes
     if getattr(args, "format", None):
         values["outputs"] = [args.format]
     missing = [key for key in ("p", "q", "n") if key not in values]
@@ -424,19 +419,18 @@ def resolve_experiment(args) -> ExperimentConfig:
     if isinstance(spikes, str):
         spikes = _parse_spikes(spikes)
     model = ModelConfig(
-        p=int(values["p"]),
-        q=int(values["q"]),
-        n=int(values["n"]),
-        spikes=SpikeSpectrum(tuple(float(r) for r in spikes)),
-        seed=int(values.get("seed", 0)),
+        p=values["p"],
+        q=values["q"],
+        n=values["n"],
+        spikes=SpikeSpectrum(spikes),
+        seed=values.get("seed", 0),
     )
-    top_m_default = min(10, min(model.p, model.q))
     return ExperimentConfig(
         model=model,
-        replicates=int(values.get("replicates", 1)),
-        top_m=int(values.get("top_m", top_m_default)),
+        replicates=values.get("replicates", 1),
+        top_m=values.get("top_m", min(10, model.p, model.q)),
         detect_margin=values.get("detect_margin"),
-        outputs=tuple(values.get("outputs", ("json",))),
+        outputs=values.get("outputs", ("json",)),
     )
 
 
@@ -481,7 +475,6 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="certify outliers with the determinant oracle")
     add_experiment_flags(verify)
-    verify.add_argument("--probe-z", dest="probe_z", type=float)
 
     return parser
 
@@ -495,7 +488,7 @@ def _cmd_limits(args) -> dict:
         ratios = ratios_from_dims(args.p, args.q, args.n)
     else:
         raise ConfigurationError("provide either --c1/--c2 or --p/--q/--n")
-    spikes = SpikeSpectrum(tuple(_parse_spikes(args.spikes)))
+    spikes = SpikeSpectrum(_parse_spikes(args.spikes))
     return theory_block(ratios, spikes)
 
 
@@ -524,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs = (args.format,) if args.format else ("json",)
         elif args.command == "verify":
             config = resolve_experiment(args)
-            payload = verify_run(config, args.probe_z)
+            payload = verify_run(config)
             outputs = config.outputs
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigurationError(f"unknown command {args.command!r}")

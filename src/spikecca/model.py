@@ -11,6 +11,7 @@ per-spike signal strengths t_i with r_i = t_i^2 / (1 + t_i^2).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,6 +93,10 @@ class SpikeSpectrum:
     r: tuple[float, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.r, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.r
+        )):
+            raise ConfigurationError(f"spikes must be a list of numbers, got {self.r!r}")
         values = tuple(float(v) for v in self.r)
         for i, v in enumerate(values):
             if not (0.0 < v <= 1.0):
@@ -122,7 +127,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("p", "q", "n"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if type(v) is not int or v <= 0:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if not (self.p < self.n and self.q < self.n):
             raise ConfigurationError(
@@ -137,7 +142,7 @@ class ModelConfig:
                 f"violated k <= min(p, q): k = {self.spikes.k}, "
                 f"min(p, q) = {min(self.p, self.q)}"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @property

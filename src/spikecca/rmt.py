@@ -230,7 +230,7 @@ def limiting_det_factor(z: float, t: float, ratios: DimensionRatios) -> float:
     """
     z = float(z)
     law = wachter_edges(ratios)
-    if z <= law.d_right:
+    if not z > law.d_right:
         raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
     fz = f(z, ratios)
     return 1.0 + t * t * fz * (1.0 - h(z, ratios))
@@ -362,7 +362,7 @@ def m1(z: float, ratios: DimensionRatios) -> float:
     """
     z = float(z)
     law = wachter_edges(ratios)
-    if z <= law.d_right:
+    if not z > law.d_right:
         raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
     c1, c2 = ratios.c1, ratios.c2
     b = c2 - c1 + 2.0 * z * c1 - z
@@ -376,7 +376,7 @@ def m2(z: float, ratios: DimensionRatios) -> float:
     """
     z = float(z)
     law = wachter_edges(ratios)
-    if z <= law.d_right:
+    if not z > law.d_right:
         raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
     c1, c2 = ratios.c1, ratios.c2
     return (c1 + c2 - 2.0 * c1 * c2 - z + ell(z, ratios)) / (2.0 * c2)

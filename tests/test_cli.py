@@ -1,10 +1,11 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikecca import ModelConfig, SpikeSpectrum, cca, sample_coupled
+from spikecca import ConfigurationError, ModelConfig, SpikeSpectrum, cca, sample_coupled, sampler
 from spikecca.cli import (
     ExperimentConfig,
     default_detect_margin,
@@ -12,6 +13,7 @@ from spikecca.cli import (
     load_matrix,
     main,
     payload_to_csv,
+    run_replicate,
     simulate_run,
     theory_block,
     verify_run,
@@ -170,6 +172,38 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"p": "abc"}, {"replicates": "two"}, {"top_m": None}, {"spikes": 0.8},
+        {"detect_margin": "x"}, {"p": 30.7}, {"seed": 1.9}, {"spikes": ["a"]},
+        {"spikes": {"0.8": 1}}, {"spikes": ["0.8"]},
+        {"replicates": True}, {"detect_margin": True}, {"outputs": 5}, {"outputs": []},
+    ],
+    ids=json.dumps,
+)
+def test_simulate_rejects_malformed_config_value(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"p": 30, "q": 60, "n": 300, "spikes": [0.8], **bad}))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "estimate"])
+def test_detect_margin_must_be_positive_finite(tmp_path, capsys, command, margin):
+    if command == "estimate":
+        cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=3)
+        x_path, y_path = write_pair(tmp_path, sample_coupled(cfg))
+        argv = ["estimate", "--x", x_path, "--y", y_path]
+    else:
+        argv = [command, "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8"]
+    code, out, err = run_cli(capsys, argv + ["--detect-margin", margin])
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
 def test_simulate_invalid_dimensions_exit_one(capsys):
     code, _, _ = run_cli(
         capsys, ["simulate", "--p", "300", "--q", "60", "--n", "300", "--spikes", "0.8"]
@@ -191,11 +225,12 @@ def test_simulate_unit_spike_deterministic_top(capsys):
 
 
 def test_simulate_aggregation_is_order_insensitive():
+    # row i is replicate i's stream alone, whatever runs before it
     model = ModelConfig(p=30, q=60, n=300, spikes=SpikeSpectrum((0.8,)), seed=5)
-    config = ExperimentConfig(model=model, replicates=4, top_m=3)
-    forward = simulate_run(config)
-    shuffled = simulate_run(config, replicate_order=[2, 0, 3, 1])
-    assert forward == shuffled
+    payload = simulate_run(ExperimentConfig(model=model, replicates=4, top_m=3))
+    for i in (3, 0):
+        alone = [float(v) for v in run_replicate(model, 3, i)[1]]
+        assert payload["replicates"][i]["top"] == alone
 
 
 def test_figure_preset_fills_dimensions():
@@ -305,9 +340,11 @@ def test_lapack_failure_exit_three(monkeypatch, capsys):
 
 def test_load_matrix_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1,2,3\n4,5\n")
-    with pytest.raises(Exception):
-        load_matrix(str(path))
+    # ragged, non-numeric, digit separator, header only, empty, blank lines only
+    for text in ("1,2,3\n4,5\n", "1,2\n3,x\n", "1,2\n3,4_0\n", "s0,s1\n", "", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            load_matrix(str(path))
 
 
 # -- verify ------------------------------------------------------------------------
@@ -333,12 +370,16 @@ def test_verify_subcritical_spikes_certify_nothing():
     assert payload["summary"]["max_normalized_det"] is None
 
 
-def test_verify_unit_spike_exit_one(capsys):
+def test_verify_unit_spike_exit_one(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("verify sampled before rejecting the unit spike")
+
+    monkeypatch.setattr(sampler, "sample_general", no_sampling)
     code, _, err = run_cli(
         capsys, ["verify", "--p", "20", "--q", "30", "--n", "200", "--spikes", "1.0,0.5"]
     )
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "unit spike" in err
     assert "Traceback" not in err
 
 

@@ -314,8 +314,9 @@ def test_det_factor_subcritical_has_no_root(ratios):
 
 
 def test_det_factor_domain(ratios):
-    with pytest.raises(DomainError):
-        limiting_det_factor(0.4, 1.0, ratios)
+    for z in (0.4, float("nan")):
+        with pytest.raises(DomainError):
+            limiting_det_factor(z, 1.0, ratios)
 
 
 def test_companions_real_beyond_edge(ratios):
