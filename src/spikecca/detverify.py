@@ -67,6 +67,9 @@ class MnComparison:
 class DeterminantOracle:
     """Workspace caching the null-side pencil and the factors of one data pair.
 
+    ``S_wy`` (p x k) and ``S_yy`` (k x k) hold only the k spiked columns of the
+    cross and Y covariances, the only part of them that Delta reads.
+
     Use this class directly when evaluating the determinant or the resolvent
     at many points; the module-level functions rebuild it per call.
     """
@@ -83,8 +86,9 @@ class DeterminantOracle:
         self.k = pair.latent.k
         self.t = np.diagonal(pair.latent.T)[: self.k].copy()
         self.S_ww = W @ W.T / n
-        self.S_wy = W @ pair.Y.T / n
-        self.S_yy = pair.Y @ pair.Y.T / n
+        Y_k = pair.Y[: self.k]
+        self.S_wy = W @ Y_k.T / n
+        self.S_yy = Y_k @ Y_k.T / n
         A = W @ pair.basis_y.T
         self.E = A @ A.T / n
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
@@ -100,8 +104,8 @@ class DeterminantOracle:
         if self.k < 1:
             raise UnsupportedModelError("factorization needs at least one spike")
         p, k, t = self.pair.p, self.k, self.t
-        chi = np.outer(t, t) * self.S_yy[:k, :k]
-        u_vecs = self.S_wy[:, :k]
+        chi = np.outer(t, t) * self.S_yy
+        u_vecs = self.S_wy
         unit = np.eye(p)
         u_cols, v_rows = [], []
         for i in range(k):
@@ -119,7 +123,15 @@ class DeterminantOracle:
         delta = U @ V
 
         T = self.pair.latent.T
-        direct = T @ self.S_wy.T + self.S_wy @ T.T + T @ self.S_yy @ T.T
+        if np.count_nonzero(T) != np.count_nonzero(t):
+            raise UnsupportedModelError(
+                "the coupling T must be diagonal with its nonzero entries among the first k"
+            )
+        # T Swy' + Swy T' + T Syy T', with T's k nonzero entries t on the diagonal
+        direct = np.zeros((p, p))
+        direct[:k] += t[:, None] * self.S_wy.T
+        direct[:, :k] += self.S_wy * t
+        direct[:k, :k] += t[:, None] * self.S_yy * t
         scale = max(1.0, float(np.max(np.abs(direct))))
         err = float(np.max(np.abs(delta - direct)))
         if err > _DELTA_CHECK_TOL * scale:

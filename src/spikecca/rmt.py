@@ -73,6 +73,8 @@ def wachter_density(x: float, ratios: DimensionRatios) -> float:
     """
     law = wachter_edges(ratios)
     x = float(x)
+    if math.isnan(x):
+        raise DomainError("density argument is NaN")
     if x < law.d_left or x > law.d_right:
         return 0.0
     if x == 0.0 or x == 1.0:
@@ -97,6 +99,8 @@ def wachter_cdf(x: float, ratios: DimensionRatios) -> float:
     """Bulk distribution function, evaluated by adaptive quadrature."""
     law = wachter_edges(ratios)
     x = float(x)
+    if math.isnan(x):
+        raise DomainError("distribution function argument is NaN")
     if x <= law.d_left:
         return 0.0
     if x >= law.d_right:
@@ -153,8 +157,8 @@ def gamma_inverse(lam: float, ratios: DimensionRatios) -> float:
     computed stably via the product of roots.  Then r = 1 / (1 + u).
     """
     lam = float(lam)
-    if lam > 1.0:
-        raise DomainError(f"squared correlation cannot exceed 1, got {lam}")
+    if not lam <= 1.0:
+        raise DomainError(f"squared correlation must be a number at most 1, got {lam}")
     law = wachter_edges(ratios)
     if lam <= law.d_right:
         raise BelowThresholdError(

@@ -76,22 +76,28 @@ class Latent:
 def _row_space_basis(M: np.ndarray, block: str) -> np.ndarray:
     """Orthonormal basis (rows) of the row space of M, with a rank guard.
 
-    The condition check mirrors the covariance block M M'/n: it fails when the
-    smallest eigenvalue drops below COND_THRESHOLD times the largest.
+    The basis is Q' from the Householder QR factorization M' = Q R, as in the
+    principal-angles method of Bjorck and Golub ("Numerical methods for
+    computing angles between linear subspaces", Math. Comp. 1973).  R has the
+    singular values of M, so the guard reads them from the small triangular
+    factor: it fails when the smallest eigenvalue of the covariance block
+    M M'/n drops below COND_THRESHOLD times the largest.
     """
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    Q, R = np.linalg.qr(M.T)
+    s = np.linalg.svd(R, compute_uv=False)
     if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
         cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
         raise SingularityError(block, cond)
-    return vh
+    return Q.T
 
 
 @dataclass(frozen=True)
 class DataPair:
     """Paired data matrices X (p x n) and Y (q x n), columns are samples.
 
-    X and Y are finite and read-only, so their guarded row-space bases are
-    factorized once, on first use, and shared by every consumer of the pair.
+    X and Y are finite and read-only, so their guarded row-space bases (QR
+    factors, see :func:`_row_space_basis`) are computed once, on first use,
+    and shared by every consumer of the pair.
     """
 
     X: np.ndarray

@@ -115,6 +115,31 @@ def test_rank_deficient_block_reported():
     assert info.value.condition > 1e10
 
 
+def conditioned_x(cond_sxx, p=20, n=200, seed=9):
+    # X = U diag(s) V' with singular values spread so that cond(X X'/n) = cond_sxx
+    rng = seeded_rng(seed)
+    U = np.linalg.qr(standard_normal_matrix(rng, p, p))[0]
+    V = np.linalg.qr(standard_normal_matrix(rng, n, p))[0]
+    s = np.geomspace(1.0, cond_sxx**-0.5, p)
+    return (U * s) @ V.T
+
+
+def test_rank_guard_boundary():
+    Y = standard_normal_matrix(seeded_rng(10), 30, 200)
+    X = conditioned_x(1e9)
+    report = squared_canonical_correlations(DataPair(X=X, Y=Y))
+    # reference: squared cosines from SVD bases of the two row spaces
+    basis_x = np.linalg.svd(X, full_matrices=False)[2]
+    basis_y = np.linalg.svd(Y, full_matrices=False)[2]
+    cosines = np.linalg.svd(basis_x @ basis_y.T, compute_uv=False)
+    assert np.max(np.abs(report.lambdas - cosines**2)) < 1e-10
+
+    with pytest.raises(SingularityError) as info:
+        squared_canonical_correlations(DataPair(X=conditioned_x(1e11), Y=Y))
+    assert info.value.block == "Sxx"
+    assert info.value.condition == pytest.approx(1e11, rel=1e-6)
+
+
 def test_dimensions_must_leave_room():
     X = np.ones((3, 3))
     with pytest.raises(ConfigurationError):

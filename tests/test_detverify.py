@@ -164,21 +164,39 @@ def test_projection_split_independence_proxy():
 def test_pair_is_factorized_once(monkeypatch):
     cfg = ModelConfig(p=30, q=50, n=300, spikes=SpikeSpectrum((0.8, 0.6)), seed=5)
     pair = sample_coupled(cfg)
-    shapes = []
-    svd = np.linalg.svd
+    qr_shapes, svd_shapes = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counting_qr(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report = squared_canonical_correlations(pair)
     oracle = DeterminantOracle(pair)
     for lam in report.lambdas[:2]:
         oracle.normalized_det(float(lam))
     oracle.reduced_matrix(0.8)
-    assert shapes.count(pair.Y.shape) == 1
+    assert qr_shapes.count(pair.Y.T.shape) == 1
+    assert pair.Y.shape not in svd_shapes
     assert oracle.factors() is oracle.factors()
+
+
+def test_coupling_outside_spiked_diagonal_is_rejected():
+    # the thin factors cover T's first k diagonal entries only
+    cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=6)
+    coupled = sample_coupled(cfg)
+    W, Y = coupled.latent.W, coupled.Y
+    T = coupled.latent.T.copy()
+    T[3, 5] = 0.4
+    pair = DataPair(X=W + T @ Y, Y=Y, latent=Latent(W=W, T=T, k=1))
+    with pytest.raises(UnsupportedModelError):
+        build_factors(pair)
 
 
 def test_outlier_roots(spiked_pair):

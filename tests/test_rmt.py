@@ -243,6 +243,12 @@ def test_gamma_inverse_above_one(ratios):
         gamma_inverse(1.1, ratios)
 
 
+@pytest.mark.parametrize("function", [gamma_inverse, wachter_density, wachter_cdf])
+def test_nan_argument_is_a_domain_error(function, ratios):
+    with pytest.raises(DomainError):
+        function(float("nan"), ratios)
+
+
 def test_gamma_inverse_just_above_edge(ratios):
     # eigenvalues barely over the edge map to spikes barely over threshold
     crit = critical_threshold(ratios)
