@@ -5,9 +5,9 @@ the product of the pair's cached orthonormal row-space bases, which equal the
 cosines of the principal angles between the row spaces.  Their squares are
 the eigenvalues of the canonical correlation matrix.  The bases come from
 Householder QR factorizations of X' and Y', and the rank guard reads the
-singular values of the triangular factors, which are those of X and Y (the
-method of Bjorck and Golub, "Numerical methods for computing angles between
-linear subspaces", Math. Comp. 1973).  A direct brute-force eigensolve of the
+triangular factors, which have the singular values of X and Y (the method of
+Bjorck and Golub, "Numerical methods for computing angles between linear
+subspaces", Math. Comp. 1973).  A direct brute-force eigensolve of the
 textbook matrix product is kept as an oracle for small problems.
 """
 

@@ -2,10 +2,15 @@
 
 Results are emitted as JSON (nested payload) or CSV (the same payload
 flattened to key/value rows with dotted paths).  Both formats carry floats at
-full round-trip precision, and no timestamps.  A fixed seed reproduces the
-sampled matrices bit for bit at any BLAS thread count; it reproduces the
-output byte for byte only on a fixed numpy/scipy/BLAS build run with a fixed
-BLAS thread count, since the factorizations' last bits depend on both.
+full round-trip precision, and no timestamps.
+
+Each command runs with every loaded OpenBLAS pinned to one thread, and main
+restores the counts it found when it returns.  When every loaded OpenBLAS is
+pinned, a fixed seed reproduces the output byte for byte on a fixed
+numpy/scipy/OpenBLAS build at any OPENBLAS_NUM_THREADS.  Another BLAS (MKL,
+Accelerate) is not pinned and runs at the caller's thread count; its output
+is byte-reproducible only at a fixed thread count.  The pin is process-wide,
+so main is not meant to run concurrently in one process.
 
 Config values are checked, never converted: p, q, n, seed, replicates and
 top_m must be integers, spikes a list of numbers or a comma-separated string,
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cca, detverify, rmt, sampler
+from . import blas, cca, detverify, rmt, sampler
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -501,7 +506,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    with blas.single_thread():
+        return _dispatch(args)
 
+
+def _dispatch(args) -> int:
+    """Run one parsed command, emit its payload and return the exit code."""
     try:
         if args.command == "limits":
             payload = _cmd_limits(args)

@@ -73,21 +73,45 @@ class Latent:
     k: int
 
 
+def _clearly_nonsingular(R: np.ndarray) -> bool:
+    """Cheap proof that R passes the rank guard with room to spare.
+
+    R'R - c I has a Cholesky factor only when every squared singular value of
+    R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, and |R|_F bounding the
+    largest singular value, success proves the guard passes, with a margin far
+    above the rounding of R'R and of the factorization.  Failure proves
+    nothing.  One Cholesky costs a small fraction of the singular values,
+    whose bidiagonal reduction is bound by memory bandwidth.
+    """
+    c = 100.0 * COND_THRESHOLD * np.linalg.norm(R) ** 2
+    if not (0.0 < c < np.inf):
+        return False
+    gram = R.T @ R
+    gram[np.diag_indices_from(gram)] -= c
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _row_space_basis(M: np.ndarray, block: str) -> np.ndarray:
     """Orthonormal basis (rows) of the row space of M, with a rank guard.
 
     The basis is Q' from the Householder QR factorization M' = Q R, as in the
     principal-angles method of Bjorck and Golub ("Numerical methods for
     computing angles between linear subspaces", Math. Comp. 1973).  R has the
-    singular values of M, so the guard reads them from the small triangular
-    factor: it fails when the smallest eigenvalue of the covariance block
-    M M'/n drops below COND_THRESHOLD times the largest.
+    singular values of M.  The guard fails when the smallest eigenvalue of the
+    covariance block M M'/n drops below COND_THRESHOLD times the largest: a
+    block that :func:`_clearly_nonsingular` clears passes at once, and any
+    other is judged on the singular values of R.
     """
     Q, R = np.linalg.qr(M.T)
-    s = np.linalg.svd(R, compute_uv=False)
-    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
-        cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-        raise SingularityError(block, cond)
+    if not _clearly_nonsingular(R):
+        s = np.linalg.svd(R, compute_uv=False)
+        if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+            cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+            raise SingularityError(block, cond)
     return Q.T
 
 

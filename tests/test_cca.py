@@ -19,6 +19,7 @@ from spikecca import (
     squared_canonical_correlations,
     standard_normal_matrix,
 )
+from spikecca.sampler import COND_THRESHOLD, _clearly_nonsingular
 
 
 def random_pair(rng, p, q, n, k=0, spikes=None):
@@ -138,6 +139,18 @@ def test_rank_guard_boundary():
         squared_canonical_correlations(DataPair(X=conditioned_x(1e11), Y=Y))
     assert info.value.block == "Sxx"
     assert info.value.condition == pytest.approx(1e11, rel=1e-6)
+
+
+def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
+    cleared = []
+    for cond_sxx in np.geomspace(1.0, 1e12, 25):
+        R = np.linalg.qr(conditioned_x(cond_sxx).T)[1]
+        if _clearly_nonsingular(R):
+            s = np.linalg.svd(R, compute_uv=False)
+            assert (s[-1] / s[0]) ** 2 > 100 * COND_THRESHOLD
+            cleared.append(cond_sxx)
+    # well-conditioned blocks skip the singular values; blocks near the threshold never do
+    assert cleared and cleared[0] == 1.0 and max(cleared) < 1e8
 
 
 def test_dimensions_must_leave_room():
