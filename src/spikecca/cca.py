@@ -1,14 +1,14 @@
 """Sample covariances and squared sample canonical correlations.
 
-The stable path never inverts a covariance block: it takes singular values of
-the product of the pair's cached orthonormal row-space bases, which equal the
-cosines of the principal angles between the row spaces.  Their squares are
-the eigenvalues of the canonical correlation matrix.  The bases come from
-Householder QR factorizations of X' and Y', and the rank guard reads the
-triangular factors, which have the singular values of X and Y (the method of
-Bjorck and Golub, "Numerical methods for computing angles between linear
-subspaces", Math. Comp. 1973).  A direct brute-force eigensolve of the
-textbook matrix product is kept as an oracle for small problems.
+The stable path never inverts a covariance block.  The pair's cached joint
+factor (one R-only Householder QR [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] and the
+small QR [Ryx; Rxx] = Qx Rx) gives orthonormal row-space bases Q[:, :q] of Y
+and Q Qx of X, so the cosines of the principal angles between the row spaces
+are the singular values of Qx[:q]; their squares are the eigenvalues of the
+canonical correlation matrix (Bjorck and Golub, "Numerical methods for
+computing angles between linear subspaces", Math. Comp. 1973).  A direct
+brute-force eigensolve of the textbook matrix product is kept as an oracle
+for small problems.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def squared_canonical_correlations(pair: DataPair) -> EigenReport:
         raise ConfigurationError(
             f"need p < n and q < n, got p = {pair.p}, q = {pair.q}, n = {pair.n}"
         )
-    sigma = np.linalg.svd(pair.basis_x @ pair.basis_y.T, compute_uv=False)
+    sigma = np.linalg.svd(pair.joint_qr[1][: pair.q], compute_uv=False)
     lam = _clamp_spectrum(sigma * sigma, "stable")
     return EigenReport(lambdas=lam, p=pair.p, q=pair.q, n=pair.n, method="stable")
 

@@ -9,8 +9,10 @@ not an eigenvalue of the null matrix must be a root of
 
 where Delta = U V is a thin factorization into k^2 + 2k columns and
 Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side resolvent.
-With Q the pair's cached row-space basis of Y (the one the canonical
-correlations use), Swy Syy^{-1} Syw = E = (W Q')(W Q')'/n.  One generalized
+With the pair's cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] (the
+one the canonical correlations use) and X = W + T Y, Q'W' stacks
+A1 = Ryx - Ryy T' on Rxx, so Swy Syy^{-1} Syw = E = A1'A1/n and
+Sww = (A1'A1 + Rxx'Rxx)/n: no n-length array is read.  One generalized
 eigendecomposition E v = mu Sww v of this null pencil, normalized so that
 V' Sww V = I, gives Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the
 mu are the squared canonical correlations of the null pair (W, Y).  This
@@ -18,7 +20,7 @@ module builds the factors, evaluates the resolvent and the reduced
 determinant, and compares the finite-sample matrix M_n(z) = I + (1-z) V
 Phi(z) U entrywise with its deterministic limit.
 
-Everything here needs the latent (W, T): the decomposition is a
+Everything here needs the latent coupling T: the decomposition is a
 simulation-time object, not identifiable from the data alone.
 """
 
@@ -67,8 +69,12 @@ class MnComparison:
 class DeterminantOracle:
     """Workspace caching the null-side pencil and the factors of one data pair.
 
-    ``S_wy`` (p x k) and ``S_yy`` (k x k) hold only the k spiked columns of the
-    cross and Y covariances, the only part of them that Delta reads.
+    ``S_wy`` = A1'Ryy[:, :k]/n (p x k) and ``S_yy`` = Ryy[:, :k]'Ryy[:, :k]/n
+    (k x k) hold only the k spiked columns of the cross and Y covariances, the
+    only part of them that Delta reads.  Every block comes from the pair's
+    guarded joint factor, so both Sxx and Syy must be nonsingular
+    (:class:`SingularityError` otherwise), and T must be diagonal with its
+    nonzero entries among the first k.
 
     Use this class directly when evaluating the determinant or the resolvent
     at many points; the module-level functions rebuild it per call.
@@ -81,16 +87,22 @@ class DeterminantOracle:
                 "the coupled sampler"
             )
         self.pair = pair
-        W = pair.latent.W
-        n = pair.n
-        self.k = pair.latent.k
-        self.t = np.diagonal(pair.latent.T)[: self.k].copy()
-        self.S_ww = W @ W.T / n
-        Y_k = pair.Y[: self.k]
-        self.S_wy = W @ Y_k.T / n
-        self.S_yy = Y_k @ Y_k.T / n
-        A = W @ pair.basis_y.T
-        self.E = A @ A.T / n
+        n, q, k = pair.n, pair.q, pair.latent.k
+        self.k = k
+        self.t = np.diagonal(pair.latent.T)[:k].copy()
+        if np.count_nonzero(pair.latent.T) != np.count_nonzero(self.t):
+            raise UnsupportedModelError(
+                "the coupling T must be diagonal with its nonzero entries among the first k"
+            )
+        R = pair.joint_qr[0]
+        R_yk = R[:q, :k]
+        A = R[:q, q:].copy()
+        A[:, :k] -= R_yk * self.t
+        gram, R_xx = A.T @ A, R[q:, q:]
+        self.E = gram / n
+        self.S_ww = (gram + R_xx.T @ R_xx) / n
+        self.S_wy = A.T @ R_yk / n
+        self.S_yy = R_yk.T @ R_yk / n
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
         self.mu, self.vecs = eigh(self.E, self.S_ww)
         self._factors: PerturbationFactors | None = None
@@ -122,11 +134,6 @@ class DeterminantOracle:
         V = np.vstack(v_rows)
         delta = U @ V
 
-        T = self.pair.latent.T
-        if np.count_nonzero(T) != np.count_nonzero(t):
-            raise UnsupportedModelError(
-                "the coupling T must be diagonal with its nonzero entries among the first k"
-            )
         # T Swy' + Swy T' + T Syy T', with T's k nonzero entries t on the diagonal
         direct = np.zeros((p, p))
         direct[:k] += t[:, None] * self.S_wy.T

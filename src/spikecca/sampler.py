@@ -47,7 +47,7 @@ def standard_normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np
     """Matrix of i.i.d. standard normals via the inverse distribution function."""
     u = rng.random((rows, cols))
     np.maximum(u, _MIN_UNIFORM, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 def coupling_product(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -95,33 +95,13 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
     return True
 
 
-def _row_space_basis(M: np.ndarray, block: str) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of M, with a rank guard.
-
-    The basis is Q' from the Householder QR factorization M' = Q R, as in the
-    principal-angles method of Bjorck and Golub ("Numerical methods for
-    computing angles between linear subspaces", Math. Comp. 1973).  R has the
-    singular values of M.  The guard fails when the smallest eigenvalue of the
-    covariance block M M'/n drops below COND_THRESHOLD times the largest: a
-    block that :func:`_clearly_nonsingular` clears passes at once, and any
-    other is judged on the singular values of R.
-    """
-    Q, R = np.linalg.qr(M.T)
-    if not _clearly_nonsingular(R):
-        s = np.linalg.svd(R, compute_uv=False)
-        if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
-            cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-            raise SingularityError(block, cond)
-    return Q.T
-
-
 @dataclass(frozen=True)
 class DataPair:
     """Paired data matrices X (p x n) and Y (q x n), columns are samples.
 
-    X and Y are finite and read-only, so their guarded row-space bases (QR
-    factors, see :func:`_row_space_basis`) are computed once, on first use,
-    and shared by every consumer of the pair.
+    X and Y are finite and read-only, so their guarded joint factorization
+    (:attr:`joint_qr`) is computed once, on first use, and shared by every
+    consumer of the pair.
     """
 
     X: np.ndarray
@@ -157,14 +137,27 @@ class DataPair:
         return self.X.shape[1]
 
     @cached_property
-    def basis_x(self) -> np.ndarray:
-        """Orthonormal rows spanning the row space of X; raises if Sxx is singular."""
-        return _row_space_basis(self.X, "Sxx")
+    def joint_qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Guarded factors (R, Qx) of the stacked samples [Y' X'] (n x (q+p)).
 
-    @cached_property
-    def basis_y(self) -> np.ndarray:
-        """Orthonormal rows spanning the row space of Y; raises if Syy is singular."""
-        return _row_space_basis(self.Y, "Syy")
+        [Y' X'] = Q R with R = [[Ryy, Ryx], [0, Rxx]] from one R-only
+        Householder QR (Q is never formed), and [Ryx; Rxx] = Qx Rx.  Ryy and Rx
+        have the singular values of Y and X.  The rank guard fails when the
+        smallest eigenvalue of a covariance block drops below COND_THRESHOLD
+        times the largest; it checks X (block "Sxx") before Y (block "Syy").
+        A factor that :func:`_clearly_nonsingular` clears passes at once, and
+        any other is judged on its singular values.
+        """
+        q = self.q
+        R = np.linalg.qr(np.vstack((self.Y, self.X)).T, mode="r")
+        Qx, Rx = np.linalg.qr(R[:, q:])
+        for block, factor in (("Sxx", Rx), ("Syy", R[:q, :q])):
+            if not _clearly_nonsingular(factor):
+                s = np.linalg.svd(factor, compute_uv=False)
+                if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+                    cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+                    raise SingularityError(block, cond)
+        return R, Qx
 
 
 def _coupling_matrix(config: ModelConfig) -> np.ndarray:
@@ -192,11 +185,11 @@ def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) 
         )
     if rng is None:
         rng = seeded_rng(config.seed)
-    w_draw = standard_normal_matrix(rng, config.p, config.n)
+    X = standard_normal_matrix(rng, config.p, config.n)
     Y = standard_normal_matrix(rng, config.q, config.n)
     T = _coupling_matrix(config)
     coupled = coupling_product(T, Y)
-    X = w_draw + coupled
+    X += coupled
     W = X - coupled
     return DataPair(X=X, Y=Y, latent=Latent(W=W, T=T, k=config.spikes.k))
 

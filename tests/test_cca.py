@@ -141,6 +141,20 @@ def test_rank_guard_boundary():
     assert info.value.condition == pytest.approx(1e11, rel=1e-6)
 
 
+@pytest.mark.parametrize("p, q, n", [(60, 80, 100), (99, 99, 100)])
+def test_wide_pairs_share_p_plus_q_minus_n_directions(p, q, n):
+    # p + q >= n: the joint triangular factor is wide and the row spaces meet
+    rng = seeded_rng(p + q)
+    X = standard_normal_matrix(rng, p, n)
+    Y = standard_normal_matrix(rng, q, n)
+    report = squared_canonical_correlations(DataPair(X=X, Y=Y))
+    basis_x = np.linalg.svd(X, full_matrices=False)[2]
+    basis_y = np.linalg.svd(Y, full_matrices=False)[2]
+    cosines = np.linalg.svd(basis_x @ basis_y.T, compute_uv=False)
+    assert np.max(np.abs(report.lambdas - cosines**2)) < 1e-10
+    assert np.count_nonzero(np.abs(report.lambdas - 1.0) <= 1e-12) == p + q - n
+
+
 def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
     cleared = []
     for cond_sxx in np.geomspace(1.0, 1e12, 25):

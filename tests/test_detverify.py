@@ -143,6 +143,39 @@ def test_rank_deficient_y_is_reported():
         assert info.value.block == "Syy"
 
 
+def test_rank_deficient_x_and_y_report_sxx_first():
+    # X is guarded before Y, for the canonical correlations and the oracle alike
+    cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=12)
+    coupled = sample_coupled(cfg)
+    W, Y, T = np.array(coupled.latent.W), np.array(coupled.Y), coupled.latent.T
+    W[3] = W[2]
+    Y[1] = Y[0]
+    pair = DataPair(X=W + coupling_product(T, Y), Y=Y, latent=Latent(W=W, T=T, k=1))
+    for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
+        with pytest.raises(SingularityError) as info:
+            compute(pair)
+        assert info.value.block == "Sxx"
+
+
+def test_oracle_blocks_match_latent_formulas():
+    # the oracle never reads W: it relies on X = W + T Y and the pair's joint factor
+    cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8, 0.6)), seed=8)
+    pair = sample_coupled(cfg)
+    oracle = DeterminantOracle(pair)
+    n, W, Y_k = pair.n, pair.latent.W, pair.Y[: pair.latent.k]
+    A = W @ np.linalg.qr(pair.Y.T)[0]
+    direct = {
+        "E": A @ A.T / n,
+        "S_ww": W @ W.T / n,
+        "S_wy": W @ Y_k.T / n,
+        "S_yy": Y_k @ Y_k.T / n,
+    }
+    for name, block in direct.items():
+        got = getattr(oracle, name)
+        assert got.shape == block.shape
+        assert np.max(np.abs(got - block)) <= 1e-12 * np.max(np.abs(block)), name
+
+
 def test_projection_split_independence_proxy():
     p, q, n = 40, 80, 400
     traces_e, traces_h = [], []
@@ -182,8 +215,10 @@ def test_pair_is_factorized_once(monkeypatch):
     for lam in report.lambdas[:2]:
         oracle.normalized_det(float(lam))
     oracle.reduced_matrix(0.8)
-    assert qr_shapes.count(pair.Y.T.shape) == 1
-    assert pair.Y.shape not in svd_shapes
+    # one QR of the stacked samples [Y' X'] is the only factorization of n-length data
+    assert [shape for shape in qr_shapes if pair.n in shape] == [(pair.n, pair.q + pair.p)]
+    assert pair.X.T.shape not in qr_shapes and pair.Y.T.shape not in qr_shapes
+    assert not any(pair.n in shape for shape in svd_shapes)
     assert oracle.factors() is oracle.factors()
 
 
