@@ -238,7 +238,7 @@ def verify_run(config: ExperimentConfig) -> dict:
     if model.spikes.k < 1:
         raise ConfigurationError("verification needs at least one spike")
     if 1.0 in model.spikes.r:
-        raise UnsupportedModelError("verify: a unit spike r = 1 leaves no latent (W, T) to certify")
+        raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
     ratios = model.ratios
     theory = theory_block(ratios, model.spikes)
     threshold = theory["d_right"] + config.detect_margin

@@ -2,8 +2,9 @@
 
 The spiked canonical correlation matrix differs from its null counterpart by
 a low-rank perturbation Delta = T Syw + Swy T' + T Syy T' built from the
-latent noise W and coupling T.  An eigenvalue of the spiked matrix that is
-not an eigenvalue of the null matrix must be a root of
+latent noise W = X - T Y and the coupling T, whose only nonzero entries are
+the k spike strengths t on its diagonal.  An eigenvalue of the spiked matrix
+that is not an eigenvalue of the null matrix must be a root of
 
     det(I + (1 - lam) V Phi(lam) U) = 0,
 
@@ -20,8 +21,9 @@ module builds the factors, evaluates the resolvent and the reduced
 determinant, and compares the finite-sample matrix M_n(z) = I + (1-z) V
 Phi(z) U entrywise with its deterministic limit.
 
-Everything here needs the latent coupling T: the decomposition is a
-simulation-time object, not identifiable from the data alone.
+Everything here needs the strengths t retained by the coupled sampler: the
+decomposition is a simulation-time object, not identifiable from the data
+alone.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ class DeterminantOracle:
     (k x k) hold only the k spiked columns of the cross and Y covariances, the
     only part of them that Delta reads.  Every block comes from the pair's
     guarded joint factor, so both Sxx and Syy must be nonsingular
-    (:class:`SingularityError` otherwise), and T must be diagonal with its
-    nonzero entries among the first k.
+    (:class:`SingularityError` otherwise).
 
     Use this class directly when evaluating the determinant or the resolvent
     at many points; the module-level functions rebuild it per call.
@@ -83,17 +84,13 @@ class DeterminantOracle:
     def __init__(self, pair: DataPair):
         if pair.latent is None:
             raise UnsupportedModelError(
-                "determinant verification needs the latent (W, T) retained by "
-                "the coupled sampler"
+                "determinant verification needs the spike strengths t retained "
+                "by the coupled sampler"
             )
         self.pair = pair
         n, q, k = pair.n, pair.q, pair.latent.k
         self.k = k
-        self.t = np.diagonal(pair.latent.T)[:k].copy()
-        if np.count_nonzero(pair.latent.T) != np.count_nonzero(self.t):
-            raise UnsupportedModelError(
-                "the coupling T must be diagonal with its nonzero entries among the first k"
-            )
+        self.t = pair.latent.t
         R = pair.joint_qr[0]
         R_yk = R[:q, :k]
         A = R[:q, q:].copy()

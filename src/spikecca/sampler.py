@@ -2,10 +2,11 @@
 
 Two constructions are provided.  The coupled sampler draws noise W and a
 second vector Y independently and sets X = W + T Y with a diagonal
-rectangular coupling T; it retains (W, T) so the finite-sample perturbation
-identities can be checked downstream.  The general sampler applies the block
-square root of the joint covariance to two independent normal matrices and
-also supports unit spikes (perfect correlation).
+rectangular coupling T; it retains T's k nonzero entries, the spike strengths
+t, so the finite-sample perturbation identities can be checked downstream.
+The general sampler applies the block square root of the joint covariance to
+two independent normal matrices and also supports unit spikes (perfect
+correlation).
 
 Randomness contract: a PCG64 bit generator seeded through a SeedSequence.
 Per-replicate streams use the root seed with the replicate index as spawn
@@ -50,27 +51,26 @@ def standard_normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np
     return ndtri(u, out=u)
 
 
-def coupling_product(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """T @ Y for a diagonal rectangular T, computed row by row.
-
-    This is the arithmetic path the coupled sampler uses; reusing it makes
-    reconstruction of the latent noise bitwise exact.
-    """
-    p, q = T.shape
-    m = min(p, q)
-    diag = np.diagonal(T)[:m]
-    out = np.zeros((p, Y.shape[1]))
-    out[:m] = diag[:, None] * Y[:m]
-    return out
-
-
 @dataclass(frozen=True)
 class Latent:
-    """Simulation-time objects of the coupled construction X = W + T Y."""
+    """Spike strengths t of the coupled construction X = W + T Y.
 
-    W: np.ndarray
-    T: np.ndarray
-    k: int
+    T (p x q) carries t on its first k diagonal entries and zeros elsewhere,
+    so t is all of it; W = X - T Y is recovered exactly from the pair.
+    """
+
+    t: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.t, dtype=float)
+        if t.ndim != 1 or not np.isfinite(t).all():
+            raise ConfigurationError("the spike strengths t must be a finite one-dimensional array")
+        t.flags.writeable = False
+        object.__setattr__(self, "t", t)
+
+    @property
+    def k(self) -> int:
+        return self.t.shape[0]
 
 
 def _clearly_nonsingular(R: np.ndarray) -> bool:
@@ -119,6 +119,11 @@ class DataPair:
             )
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ConfigurationError("X and Y must hold only finite values (no NaN or inf)")
+        if self.latent is not None and self.latent.k > min(X.shape[0], Y.shape[0]):
+            raise ConfigurationError(
+                f"the latent has {self.latent.k} spikes, more than min(p, q) = "
+                f"{min(X.shape[0], Y.shape[0])}"
+            )
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -160,22 +165,14 @@ class DataPair:
         return R, Qx
 
 
-def _coupling_matrix(config: ModelConfig) -> np.ndarray:
-    T = np.zeros((config.p, config.q))
-    for i, r in enumerate(config.spikes.r):
-        T[i, i] = spike_to_t(r)
-    return T
-
-
 def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
-    """Draw a pair via the coupled construction, retaining the latent (W, T).
+    """Draw a pair via the coupled construction, retaining the strengths t.
 
     W (p x n) and Y (q x n) are independent standard normal matrices and
-    X = W + T Y with T[i, i] the strength of spike i.  The population
-    squared canonical correlations of this construction are exactly the
-    spikes.  The stored W is the residual X - T Y, so reconstructing it from
-    the pair is bitwise exact.  Unit spikes are rejected here; use
-    :func:`sample_general` for those.
+    X = W + T Y with T[i, i] = t_i the strength of spike i: W is drawn into X
+    and its first k rows gain t_i Y[i] in place.  The population squared
+    canonical correlations of this construction are exactly the spikes.
+    Unit spikes are rejected here; use :func:`sample_general` for those.
     """
     if any(r == 1.0 for r in config.spikes.r):
         raise UnsupportedModelError(
@@ -187,11 +184,10 @@ def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) 
         rng = seeded_rng(config.seed)
     X = standard_normal_matrix(rng, config.p, config.n)
     Y = standard_normal_matrix(rng, config.q, config.n)
-    T = _coupling_matrix(config)
-    coupled = coupling_product(T, Y)
-    X += coupled
-    W = X - coupled
-    return DataPair(X=X, Y=Y, latent=Latent(W=W, T=T, k=config.spikes.k))
+    t = np.array([spike_to_t(r) for r in config.spikes.r])
+    k = t.shape[0]
+    X[:k] += t[:, None] * Y[:k]
+    return DataPair(X=X, Y=Y, latent=Latent(t=t))
 
 
 def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
@@ -205,17 +201,14 @@ def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) 
     """
     if rng is None:
         rng = seeded_rng(config.seed)
-    W1 = standard_normal_matrix(rng, config.p, config.n)
-    W2 = standard_normal_matrix(rng, config.q, config.n)
+    X = standard_normal_matrix(rng, config.p, config.n)
+    Y = standard_normal_matrix(rng, config.q, config.n)
     k = config.spikes.k
-    X = W1.copy()
-    Y = W2.copy()
     if k:
-        weights = [mixing_weights(r) for r in config.spikes.r]
-        alpha = np.array([w[0] for w in weights])
-        beta = np.array([w[1] for w in weights])
-        X[:k] = alpha[:, None] * W1[:k] + beta[:, None] * W2[:k]
-        Y[:k] = beta[:, None] * W1[:k] + alpha[:, None] * W2[:k]
+        alpha, beta = np.array([mixing_weights(r) for r in config.spikes.r]).T
+        W1 = X[:k].copy()
+        X[:k] = alpha[:, None] * W1 + beta[:, None] * Y[:k]
+        Y[:k] = beta[:, None] * W1 + alpha[:, None] * Y[:k]
     return DataPair(X=X, Y=Y, latent=None)
 
 

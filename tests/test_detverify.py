@@ -11,7 +11,6 @@ from spikecca import (
     SpikeSpectrum,
     UnsupportedModelError,
     build_factors,
-    coupling_product,
     f,
     finite_n_det,
     mn_entry_convergence,
@@ -38,8 +37,23 @@ def zero_coupling_pair(p=20, q=30, n=200, seed=11):
     rng = seeded_rng(seed)
     W = standard_normal_matrix(rng, p, n)
     Y = standard_normal_matrix(rng, q, n)
-    T = np.zeros((p, q))
-    return DataPair(X=W, Y=Y, latent=Latent(W=W, T=T, k=1))
+    return DataPair(X=W, Y=Y, latent=Latent(t=np.zeros(1)))
+
+
+def latent_noise(pair):
+    """W = X - T Y, formed row by row from the pair and its strengths t."""
+    t = pair.latent.t
+    W = np.array(pair.X)
+    W[: t.shape[0]] -= t[:, None] * pair.Y[: t.shape[0]]
+    return W
+
+
+def coupled_pair(W, Y, latent):
+    """The pair X = W + T Y for noise W, data Y and the strengths t of latent."""
+    t = latent.t
+    X = np.array(W)
+    X[: t.shape[0]] += t[:, None] * Y[: t.shape[0]]
+    return DataPair(X=X, Y=Y, latent=latent)
 
 
 # -- factorization -----------------------------------------------------------------
@@ -92,7 +106,7 @@ def test_factorization_needs_latent():
 
 def test_resolvent_matches_direct_formula(spiked_pair):
     n = spiked_pair.n
-    W, Y = spiked_pair.latent.W, spiked_pair.Y
+    W, Y = latent_noise(spiked_pair), spiked_pair.Y
     S_wy = W @ Y.T / n
     S_yy = Y @ Y.T / n
     S_ww = W @ W.T / n
@@ -133,10 +147,10 @@ def test_rank_deficient_y_is_reported():
     # a duplicated row of Y makes Syy singular; the oracle must not build a
     # resolvent from a spurious basis direction
     cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=12)
-    latent = sample_coupled(cfg).latent
-    Y = np.array(sample_coupled(cfg).Y)
+    coupled = sample_coupled(cfg)
+    W, Y = latent_noise(coupled), np.array(coupled.Y)
     Y[1] = Y[0]
-    pair = DataPair(X=latent.W + coupling_product(latent.T, Y), Y=Y, latent=latent)
+    pair = coupled_pair(W, Y, coupled.latent)
     for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
         with pytest.raises(SingularityError) as info:
             compute(pair)
@@ -147,10 +161,10 @@ def test_rank_deficient_x_and_y_report_sxx_first():
     # X is guarded before Y, for the canonical correlations and the oracle alike
     cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=12)
     coupled = sample_coupled(cfg)
-    W, Y, T = np.array(coupled.latent.W), np.array(coupled.Y), coupled.latent.T
+    W, Y = latent_noise(coupled), np.array(coupled.Y)
     W[3] = W[2]
     Y[1] = Y[0]
-    pair = DataPair(X=W + coupling_product(T, Y), Y=Y, latent=Latent(W=W, T=T, k=1))
+    pair = coupled_pair(W, Y, coupled.latent)
     for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
         with pytest.raises(SingularityError) as info:
             compute(pair)
@@ -162,7 +176,7 @@ def test_oracle_blocks_match_latent_formulas():
     cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8, 0.6)), seed=8)
     pair = sample_coupled(cfg)
     oracle = DeterminantOracle(pair)
-    n, W, Y_k = pair.n, pair.latent.W, pair.Y[: pair.latent.k]
+    n, W, Y_k = pair.n, latent_noise(pair), pair.Y[: pair.latent.k]
     A = W @ np.linalg.qr(pair.Y.T)[0]
     direct = {
         "E": A @ A.T / n,
@@ -220,18 +234,6 @@ def test_pair_is_factorized_once(monkeypatch):
     assert pair.X.T.shape not in qr_shapes and pair.Y.T.shape not in qr_shapes
     assert not any(pair.n in shape for shape in svd_shapes)
     assert oracle.factors() is oracle.factors()
-
-
-def test_coupling_outside_spiked_diagonal_is_rejected():
-    # the thin factors cover T's first k diagonal entries only
-    cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=6)
-    coupled = sample_coupled(cfg)
-    W, Y = coupled.latent.W, coupled.Y
-    T = coupled.latent.T.copy()
-    T[3, 5] = 0.4
-    pair = DataPair(X=W + T @ Y, Y=Y, latent=Latent(W=W, T=T, k=1))
-    with pytest.raises(UnsupportedModelError):
-        build_factors(pair)
 
 
 def test_outlier_roots(spiked_pair):

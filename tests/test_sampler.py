@@ -6,10 +6,10 @@ import pytest
 from spikecca import (
     ConfigurationError,
     DataPair,
+    Latent,
     ModelConfig,
     SpikeSpectrum,
     UnsupportedModelError,
-    coupling_product,
     mixing_weights,
     replicate_rng,
     sample_coupled,
@@ -26,6 +26,14 @@ def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
     return ModelConfig(p=p, q=q, n=n, spikes=SpikeSpectrum(spikes), seed=seed)
 
 
+def latent_noise(pair):
+    """W = X - T Y, formed row by row from the pair and its strengths t."""
+    t = pair.latent.t
+    W = np.array(pair.X)
+    W[: t.shape[0]] -= t[:, None] * pair.Y[: t.shape[0]]
+    return W
+
+
 # -- randomness contract --------------------------------------------------------
 
 
@@ -35,7 +43,7 @@ def test_same_seed_same_bits():
     b = sample_coupled(cfg)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.Y, b.Y)
-    assert np.array_equal(a.latent.W, b.latent.W)
+    assert np.array_equal(a.latent.t, b.latent.t)
 
 
 def test_different_seeds_differ():
@@ -71,29 +79,53 @@ def test_normal_matrix_moments():
 
 
 def test_latent_identity_exactly_zero():
+    # X = W + T Y with the dense p x q coupling T that the strengths t describe
     pair = sample_coupled(config())
-    coupled = coupling_product(pair.latent.T, pair.Y)
-    residual = pair.X - coupled - pair.latent.W
+    t = pair.latent.t
+    T = np.zeros((pair.p, pair.q))
+    T[np.arange(t.shape[0]), np.arange(t.shape[0])] = t
+    residual = pair.X - T @ pair.Y - latent_noise(pair)
     assert np.all(residual == 0.0)
 
 
 def test_latent_noise_recovered_bitwise():
-    pair = sample_coupled(config())
-    coupled = coupling_product(pair.latent.T, pair.Y)
-    assert np.array_equal(pair.X - coupled, pair.latent.W)
+    # the recovered noise is the raw draw: exactly beyond the k coupled rows,
+    # to rounding within them
+    cfg = config()
+    pair = sample_coupled(cfg)
+    W = latent_noise(pair)
+    assert np.array_equal(W, latent_noise(sample_coupled(cfg)))
+    raw = standard_normal_matrix(seeded_rng(cfg.seed), cfg.p, cfg.n)
+    k = pair.latent.k
+    assert np.array_equal(W[k:], raw[k:])
+    scale = np.max(np.abs(pair.X[:k]))
+    assert np.max(np.abs(W[:k] - raw[:k])) <= 4 * np.finfo(float).eps * scale
 
 
 def test_coupling_matrix_structure():
+    # the latent is T's k nonzero diagonal entries, read-only
     cfg = config(spikes=(0.8, 0.5))
+    latent = sample_coupled(cfg).latent
+    assert latent.t.shape == (2,)
+    assert latent.t[0] == spike_to_t(0.8)
+    assert latent.t[1] == spike_to_t(0.5)
+    assert latent.k == 2
+    with pytest.raises(ValueError):
+        latent.t[0] = 1.0
+
+
+def test_coupled_seeding_contract():
+    # in-place coupling keeps the raw draws: Y untouched, X[k:] untouched,
+    # X[:k] = raw[:k] + t Y[:k]
+    cfg = config(p=12, q=16, n=90, spikes=(0.8, 0.6, 0.3), seed=19)
     pair = sample_coupled(cfg)
-    T = pair.latent.T
-    assert T.shape == (cfg.p, cfg.q)
-    assert T[0, 0] == spike_to_t(0.8)
-    assert T[1, 1] == spike_to_t(0.5)
-    mask = np.ones_like(T, dtype=bool)
-    mask[0, 0] = mask[1, 1] = False
-    assert np.all(T[mask] == 0.0)
-    assert pair.latent.k == 2
+    rng = seeded_rng(cfg.seed)
+    raw_x = standard_normal_matrix(rng, cfg.p, cfg.n)
+    raw_y = standard_normal_matrix(rng, cfg.q, cfg.n)
+    k, t = pair.latent.k, pair.latent.t
+    assert np.array_equal(pair.Y, raw_y)
+    assert np.array_equal(pair.X[k:], raw_x[k:])
+    assert np.array_equal(pair.X[:k], raw_x[:k] + t[:, None] * pair.Y[:k])
 
 
 def test_coupled_rejects_unit_spike():
@@ -215,6 +247,20 @@ def test_data_pair_shape_check():
         DataPair(X=np.ones((2, 5)), Y=np.ones((3, 6)))
     with pytest.raises(ConfigurationError):
         DataPair(X=np.ones(5), Y=np.ones((3, 5)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Latent(t=np.full((2, 1), 0.5)),
+        lambda: Latent(t=np.array([0.5, np.nan])),
+        lambda: DataPair(X=np.ones((2, 5)), Y=np.ones((3, 5)), latent=Latent(t=np.ones(3))),
+    ],
+    ids=["two_dimensional_t", "nan_t", "k_above_min_p_q"],
+)
+def test_latent_boundary_checks(build):
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 def test_data_pair_immutable():
