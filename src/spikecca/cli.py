@@ -129,7 +129,7 @@ def run_replicate(
 
     Uses the coupled sampler; a spectrum containing a unit spike falls back to
     the joint-covariance sampler, which realizes the deterministic unit
-    eigenvalue directly but retains no latent.
+    eigenvalue directly; that pair carries no spike strengths t.
     """
     rng = sampler.replicate_rng(model.seed, index)
     if any(r == 1.0 for r in model.spikes.r):
@@ -253,9 +253,7 @@ def verify_run(config: ExperimentConfig) -> dict:
             det = oracle.normalized_det(lam)
             residuals.append(abs(det))
             outliers.append({"lambda": lam, "normalized_det": det})
-        comparison = detverify.MnComparison(
-            finite=oracle.reduced_matrix(z), limit=oracle.limit_matrix(z)
-        )
+        comparison = oracle.mn_comparison(z)
         rows.append(
             {
                 "index": index,
@@ -430,13 +428,16 @@ def resolve_experiment(args) -> ExperimentConfig:
         spikes=SpikeSpectrum(spikes),
         seed=values.get("seed", 0),
     )
-    return ExperimentConfig(
+    config = ExperimentConfig(
         model=model,
         replicates=values.get("replicates", 1),
         top_m=values.get("top_m", min(10, model.p, model.q)),
         detect_margin=values.get("detect_margin"),
         outputs=values.get("outputs", ("json",)),
     )
+    if len(config.outputs) > 1 and getattr(args, "out", None) is None:
+        raise ConfigurationError(f"outputs {list(config.outputs)} need --out: stdout takes one format")
+    return config
 
 
 def build_parser() -> _Parser:

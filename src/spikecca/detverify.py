@@ -21,28 +21,28 @@ module builds the factors, evaluates the resolvent and the reduced
 determinant, and compares the finite-sample matrix M_n(z) = I + (1-z) V
 Phi(z) U entrywise with its deterministic limit.
 
-Everything here needs the strengths t retained by the coupled sampler: the
-decomposition is a simulation-time object, not identifiable from the data
-alone.
+Everything here needs the spike strengths t that a pair drawn by the coupled
+sampler carries (``DataPair.t``): the decomposition is a simulation-time
+object, not identifiable from the data alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import (
-    DomainError,
     NumericalError,
     ResolventSingularityError,
     UnsupportedModelError,
 )
-from .model import ratios_from_dims
+from .model import DimensionRatios, ratios_from_dims
+from .rmt import beyond_edge
 from .rmt import f as limit_f
 from .rmt import h as limit_h
-from .rmt import wachter_edges
 from .sampler import DataPair
 
 _DELTA_CHECK_TOL = 1e-10
@@ -82,15 +82,15 @@ class DeterminantOracle:
     """
 
     def __init__(self, pair: DataPair):
-        if pair.latent is None:
+        if pair.t is None:
             raise UnsupportedModelError(
-                "determinant verification needs the spike strengths t retained "
-                "by the coupled sampler"
+                "determinant verification needs a pair that carries its spike "
+                "strengths t, as the coupled sampler draws it"
             )
         self.pair = pair
-        n, q, k = pair.n, pair.q, pair.latent.k
+        self.t = pair.t
+        n, q, k = pair.n, pair.q, self.t.shape[0]
         self.k = k
-        self.t = pair.latent.t
         R = pair.joint_qr[0]
         R_yk = R[:q, :k]
         A = R[:q, q:].copy()
@@ -183,9 +183,8 @@ class DeterminantOracle:
         below the diagonal and leave the determinant equal to the product of
         the 3 x 3 block determinants.  All remaining entries vanish.
         """
-        ratios = ratios_from_dims(self.pair.p, self.pair.q, self.pair.n)
-        fz = limit_f(z, ratios)
-        hz = limit_h(z, ratios)
+        fz = limit_f(z, self.ratios)
+        hz = limit_h(z, self.ratios)
         k = self.k
         dim = k * k + 2 * k
         M = np.eye(dim)
@@ -204,6 +203,15 @@ class DeterminantOracle:
                 M[row, 3 * i] += ti * ti * fz
                 M[row, 3 * i + 1] += ti * fz
         return M
+
+    @cached_property
+    def ratios(self) -> DimensionRatios:
+        return ratios_from_dims(self.pair.p, self.pair.q, self.pair.n)
+
+    def mn_comparison(self, z: float) -> MnComparison:
+        """M_n(z) next to its limit M(z), at a real z beyond the bulk edge."""
+        z = beyond_edge(z, self.ratios)
+        return MnComparison(finite=self.reduced_matrix(z), limit=self.limit_matrix(z))
 
 
 def build_factors(pair: DataPair) -> PerturbationFactors:
@@ -232,9 +240,4 @@ def mn_entry_convergence(pair: DataPair, z: float) -> MnComparison:
     the bulk edge; see :meth:`DeterminantOracle.limit_matrix` for the limit
     structure.
     """
-    z = float(z)
-    oracle = DeterminantOracle(pair)
-    edge = wachter_edges(ratios_from_dims(pair.p, pair.q, pair.n)).d_right
-    if not z > edge:
-        raise DomainError(f"need a real z beyond the bulk edge {edge}, got {z}")
-    return MnComparison(finite=oracle.reduced_matrix(z), limit=oracle.limit_matrix(z))
+    return DeterminantOracle(pair).mn_comparison(z)

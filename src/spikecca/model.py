@@ -54,7 +54,7 @@ class DimensionRatios:
                 "c1 == c2: limit formulas remain finite but the asymptotic "
                 "theory assumes distinct ratios",
                 EqualRatiosWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def swapped(self) -> "DimensionRatios":
@@ -116,27 +116,21 @@ class SpikeSpectrum:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Finite-sample model: dimensions, spike spectrum and a sampling seed."""
+    """Finite-sample model: dimensions, spike spectrum, a sampling seed and the ratios."""
 
     p: int
     q: int
     n: int
     spikes: SpikeSpectrum
     seed: int = 0
+    ratios: DimensionRatios = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("p", "q", "n"):
             v = getattr(self, name)
             if type(v) is not int or v <= 0:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-        if not (self.p < self.n and self.q < self.n):
-            raise ConfigurationError(
-                f"violated p < n and q < n: p = {self.p}, q = {self.q}, n = {self.n}"
-            )
-        if not self.p + self.q < self.n:
-            raise ConfigurationError(
-                f"violated p + q < n: p + q = {self.p + self.q}, n = {self.n}"
-            )
+        object.__setattr__(self, "ratios", ratios_from_dims(self.p, self.q, self.n))
         if self.spikes.k > min(self.p, self.q):
             raise ConfigurationError(
                 f"violated k <= min(p, q): k = {self.spikes.k}, "
@@ -144,10 +138,6 @@ class ModelConfig:
             )
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-    @property
-    def ratios(self) -> DimensionRatios:
-        return ratios_from_dims(self.p, self.q, self.n)
 
 
 def spike_to_t(r: float) -> float:

@@ -64,6 +64,18 @@ def wachter_edges(ratios: DimensionRatios) -> WachterLaw:
     return WachterLaw(ratios=ratios, d_left=base - cross, d_right=base + cross)
 
 
+def beyond_edge(z: float, ratios: DimensionRatios) -> float:
+    """z as a float, checked to lie beyond the bulk edge: z > d_right.
+
+    Raises :class:`DomainError` otherwise, and for NaN.
+    """
+    z = float(z)
+    d_right = wachter_edges(ratios).d_right
+    if not z > d_right:
+        raise DomainError(f"need z > d_right = {d_right}, got {z}")
+    return z
+
+
 def wachter_density(x: float, ratios: DimensionRatios) -> float:
     """Bulk density at x; zero outside the support.
 
@@ -232,10 +244,7 @@ def limiting_det_factor(z: float, t: float, ratios: DimensionRatios) -> float:
     z = gamma_map(r(t)); for subcritical t it stays away from zero on the
     whole interval (d_right, 1].
     """
-    z = float(z)
-    law = wachter_edges(ratios)
-    if not z > law.d_right:
-        raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
+    z = beyond_edge(z, ratios)
     fz = f(z, ratios)
     return 1.0 + t * t * fz * (1.0 - h(z, ratios))
 
@@ -364,10 +373,7 @@ def m1(z: float, ratios: DimensionRatios) -> float:
     algebraically identical form of the closed-form root that stays finite
     through the removable point z = 1.  Satisfies f(z) = (1 - z) m1(z).
     """
-    z = float(z)
-    law = wachter_edges(ratios)
-    if not z > law.d_right:
-        raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
+    z = beyond_edge(z, ratios)
     c1, c2 = ratios.c1, ratios.c2
     b = c2 - c1 + 2.0 * z * c1 - z
     return 2.0 / (b - ell(z, ratios))
@@ -378,10 +384,7 @@ def m2(z: float, ratios: DimensionRatios) -> float:
 
     Satisfies varrho(z) = m2(z).
     """
-    z = float(z)
-    law = wachter_edges(ratios)
-    if not z > law.d_right:
-        raise DomainError(f"need z > d_right = {law.d_right}, got {z}")
+    z = beyond_edge(z, ratios)
     c1, c2 = ratios.c1, ratios.c2
     return (c1 + c2 - 2.0 * c1 * c2 - z + ell(z, ratios)) / (2.0 * c2)
 

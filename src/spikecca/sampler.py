@@ -2,8 +2,8 @@
 
 Two constructions are provided.  The coupled sampler draws noise W and a
 second vector Y independently and sets X = W + T Y with a diagonal
-rectangular coupling T; it retains T's k nonzero entries, the spike strengths
-t, so the finite-sample perturbation identities can be checked downstream.
+rectangular coupling T; the pair carries T's k nonzero entries, the spike
+strengths t, so the finite-sample perturbation identities can be checked.
 The general sampler applies the block square root of the joint covariance to
 two independent normal matrices and also supports unit spikes (perfect
 correlation).
@@ -51,28 +51,6 @@ def standard_normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
-class Latent:
-    """Spike strengths t of the coupled construction X = W + T Y.
-
-    T (p x q) carries t on its first k diagonal entries and zeros elsewhere,
-    so t is all of it; W = X - T Y is recovered exactly from the pair.
-    """
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        if t.ndim != 1 or not np.isfinite(t).all():
-            raise ConfigurationError("the spike strengths t must be a finite one-dimensional array")
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-    @property
-    def k(self) -> int:
-        return self.t.shape[0]
-
-
 def _clearly_nonsingular(R: np.ndarray) -> bool:
     """Cheap proof that R passes the rank guard with room to spare.
 
@@ -101,12 +79,13 @@ class DataPair:
 
     X and Y are finite and read-only, so their guarded joint factorization
     (:attr:`joint_qr`) is computed once, on first use, and shared by every
-    consumer of the pair.
+    consumer of the pair.  A coupled pair X = W + T Y also carries ``t``:
+    T's k <= min(p, q) nonzero diagonal entries, read-only (else None).
     """
 
     X: np.ndarray
     Y: np.ndarray
-    latent: Latent | None = None
+    t: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
@@ -119,11 +98,16 @@ class DataPair:
             )
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ConfigurationError("X and Y must hold only finite values (no NaN or inf)")
-        if self.latent is not None and self.latent.k > min(X.shape[0], Y.shape[0]):
-            raise ConfigurationError(
-                f"the latent has {self.latent.k} spikes, more than min(p, q) = "
-                f"{min(X.shape[0], Y.shape[0])}"
-            )
+        if self.t is not None:
+            t = np.array(self.t, dtype=float)
+            k_max = min(X.shape[0], Y.shape[0])
+            if t.ndim != 1 or not np.isfinite(t).all() or t.shape[0] > k_max:
+                raise ConfigurationError(
+                    f"the spike strengths t must be a finite one-dimensional array "
+                    f"of at most min(p, q) = {k_max} entries, got shape {t.shape}"
+                )
+            t.flags.writeable = False
+            object.__setattr__(self, "t", t)
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -166,7 +150,7 @@ class DataPair:
 
 
 def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
-    """Draw a pair via the coupled construction, retaining the strengths t.
+    """Draw a pair via the coupled construction; the pair carries the strengths t.
 
     W (p x n) and Y (q x n) are independent standard normal matrices and
     X = W + T Y with T[i, i] = t_i the strength of spike i: W is drawn into X
@@ -187,7 +171,7 @@ def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) 
     t = np.array([spike_to_t(r) for r in config.spikes.r])
     k = t.shape[0]
     X[:k] += t[:, None] * Y[:k]
-    return DataPair(X=X, Y=Y, latent=Latent(t=t))
+    return DataPair(X=X, Y=Y, t=t)
 
 
 def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
@@ -197,7 +181,7 @@ def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) 
     each with weights (alpha_i, beta_i); rows beyond k pass through.  Unit
     spikes are supported: alpha = beta = 1/sqrt(2) makes the corresponding
     rows of X and Y identical, so the top sample eigenvalue is exactly 1.
-    No latent is retained.
+    The pair carries no spike strengths (``t = None``).
     """
     if rng is None:
         rng = seeded_rng(config.seed)
@@ -209,17 +193,17 @@ def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) 
         W1 = X[:k].copy()
         X[:k] = alpha[:, None] * W1 + beta[:, None] * Y[:k]
         Y[:k] = beta[:, None] * W1 + alpha[:, None] * Y[:k]
-    return DataPair(X=X, Y=Y, latent=None)
+    return DataPair(X=X, Y=Y)
 
 
 def subtract_means(pair: DataPair) -> DataPair:
     """Center each variable (row) at its sample mean.
 
-    The latent is dropped: the coupled identity no longer holds exactly after
-    centering.
+    The spike strengths t are dropped: the coupled identity X = W + T Y no
+    longer holds exactly after centering.
     """
     if pair.n < 2:
         raise ConfigurationError(f"centering needs at least two samples, got n = {pair.n}")
     X = pair.X - pair.X.mean(axis=1, keepdims=True)
     Y = pair.Y - pair.Y.mean(axis=1, keepdims=True)
-    return DataPair(X=X, Y=Y, latent=None)
+    return DataPair(X=X, Y=Y)

@@ -152,6 +152,23 @@ def test_simulate_csv_and_json_carry_identical_numbers(tmp_path, capsys):
     assert payload_to_csv(payload) == (tmp_path / "run.csv").read_text()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_several_outputs_need_out(tmp_path, monkeypatch, capsys, command):
+    # stdout takes one format; the rest would be dropped without a word
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the outputs")
+
+    monkeypatch.setattr(sampler, "sample_coupled", no_sampling)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps({"p": 30, "q": 60, "n": 300, "spikes": [0.8], "outputs": ["csv", "json"]})
+    )
+    code, out, err = run_cli(capsys, [command, "--config", str(cfg_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--out" in err
+
+
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"p": 30, "q": 60, "n": 300, "spikes": [0.8], "seed": 5}))

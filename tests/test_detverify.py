@@ -4,7 +4,7 @@ import pytest
 from spikecca import (
     DataPair,
     DeterminantOracle,
-    Latent,
+    DomainError,
     ModelConfig,
     ResolventSingularityError,
     SingularityError,
@@ -37,23 +37,22 @@ def zero_coupling_pair(p=20, q=30, n=200, seed=11):
     rng = seeded_rng(seed)
     W = standard_normal_matrix(rng, p, n)
     Y = standard_normal_matrix(rng, q, n)
-    return DataPair(X=W, Y=Y, latent=Latent(t=np.zeros(1)))
+    return DataPair(X=W, Y=Y, t=np.zeros(1))
 
 
 def latent_noise(pair):
     """W = X - T Y, formed row by row from the pair and its strengths t."""
-    t = pair.latent.t
+    t = pair.t
     W = np.array(pair.X)
     W[: t.shape[0]] -= t[:, None] * pair.Y[: t.shape[0]]
     return W
 
 
-def coupled_pair(W, Y, latent):
-    """The pair X = W + T Y for noise W, data Y and the strengths t of latent."""
-    t = latent.t
+def coupled_pair(W, Y, t):
+    """The pair X = W + T Y for noise W, data Y and the strengths t."""
     X = np.array(W)
     X[: t.shape[0]] += t[:, None] * Y[: t.shape[0]]
-    return DataPair(X=X, Y=Y, latent=latent)
+    return DataPair(X=X, Y=Y, t=t)
 
 
 # -- factorization -----------------------------------------------------------------
@@ -61,7 +60,7 @@ def coupled_pair(W, Y, latent):
 
 def test_factor_shapes(spiked_pair):
     factors = build_factors(spiked_pair)
-    k = spiked_pair.latent.k
+    k = spiked_pair.t.shape[0]
     assert factors.U.shape == (spiked_pair.p, k * k + 2 * k)
     assert factors.V.shape == (k * k + 2 * k, spiked_pair.p)
 
@@ -150,7 +149,7 @@ def test_rank_deficient_y_is_reported():
     coupled = sample_coupled(cfg)
     W, Y = latent_noise(coupled), np.array(coupled.Y)
     Y[1] = Y[0]
-    pair = coupled_pair(W, Y, coupled.latent)
+    pair = coupled_pair(W, Y, coupled.t)
     for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
         with pytest.raises(SingularityError) as info:
             compute(pair)
@@ -164,7 +163,7 @@ def test_rank_deficient_x_and_y_report_sxx_first():
     W, Y = latent_noise(coupled), np.array(coupled.Y)
     W[3] = W[2]
     Y[1] = Y[0]
-    pair = coupled_pair(W, Y, coupled.latent)
+    pair = coupled_pair(W, Y, coupled.t)
     for compute in (squared_canonical_correlations, lambda pair: finite_n_det(pair, 0.6)):
         with pytest.raises(SingularityError) as info:
             compute(pair)
@@ -176,7 +175,7 @@ def test_oracle_blocks_match_latent_formulas():
     cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8, 0.6)), seed=8)
     pair = sample_coupled(cfg)
     oracle = DeterminantOracle(pair)
-    n, W, Y_k = pair.n, latent_noise(pair), pair.Y[: pair.latent.k]
+    n, W, Y_k = pair.n, latent_noise(pair), pair.Y[: pair.t.shape[0]]
     A = W @ np.linalg.qr(pair.Y.T)[0]
     direct = {
         "E": A @ A.T / n,
@@ -278,6 +277,13 @@ def test_zero_coupling_reduced_matrix_is_identity():
     comparison = mn_entry_convergence(pair, 0.7)
     assert np.array_equal(comparison.finite, np.eye(3))
     assert np.array_equal(comparison.limit, np.eye(3))
+
+
+def test_mn_comparison_domain(spiked_pair):
+    ratios = ratios_from_dims(spiked_pair.p, spiked_pair.q, spiked_pair.n)
+    for z in (0.2, wachter_edges(ratios).d_right, float("nan")):
+        with pytest.raises(DomainError):
+            mn_entry_convergence(spiked_pair, z)
 
 
 def test_leading_entry_concentrates():

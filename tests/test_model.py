@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ def test_mixing_weights_accept_unit_spike():
     assert alpha == beta
 
 
+def test_equal_ratios_warning_points_at_the_caller():
+    with pytest.warns(EqualRatiosWarning) as record:
+        DimensionRatios(0.25, 0.25)
+    assert record[0].filename == __file__
+
+
 def test_spectrum_ordering_enforced():
     with pytest.raises(ConfigurationError):
         SpikeSpectrum((0.5, 0.8))
@@ -146,3 +153,15 @@ def test_model_config_constraints():
         ModelConfig(p=4, q=5, n=20, spikes=spikes, seed=-1)
     config = ModelConfig(p=4, q=5, n=20, spikes=spikes, seed=2**64 - 1)
     assert config.ratios.c1 == 0.2
+
+
+def test_model_config_computes_its_ratios_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = ModelConfig(p=100, q=100, n=1000, spikes=SpikeSpectrum((0.8,)))
+        reads = [config.ratios for _ in range(3)]
+    assert config.ratios is config.ratios
+    assert all(ratios is config.ratios for ratios in reads)
+    assert [w.category for w in caught] == [EqualRatiosWarning]
+    assert (config.ratios.c1, config.ratios.c2) == (0.1, 0.1)
+    assert "ratios" not in repr(config)

@@ -320,7 +320,7 @@ def test_det_factor_subcritical_has_no_root(ratios):
 
 
 def test_det_factor_domain(ratios):
-    for z in (0.4, float("nan")):
+    for z in (0.4, wachter_edges(ratios).d_right, float("nan")):
         with pytest.raises(DomainError):
             limiting_det_factor(z, 1.0, ratios)
 

@@ -6,7 +6,6 @@ import pytest
 from spikecca import (
     ConfigurationError,
     DataPair,
-    Latent,
     ModelConfig,
     SpikeSpectrum,
     UnsupportedModelError,
@@ -28,7 +27,7 @@ def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
 
 def latent_noise(pair):
     """W = X - T Y, formed row by row from the pair and its strengths t."""
-    t = pair.latent.t
+    t = pair.t
     W = np.array(pair.X)
     W[: t.shape[0]] -= t[:, None] * pair.Y[: t.shape[0]]
     return W
@@ -43,7 +42,7 @@ def test_same_seed_same_bits():
     b = sample_coupled(cfg)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.Y, b.Y)
-    assert np.array_equal(a.latent.t, b.latent.t)
+    assert np.array_equal(a.t, b.t)
 
 
 def test_different_seeds_differ():
@@ -81,7 +80,7 @@ def test_normal_matrix_moments():
 def test_latent_identity_exactly_zero():
     # X = W + T Y with the dense p x q coupling T that the strengths t describe
     pair = sample_coupled(config())
-    t = pair.latent.t
+    t = pair.t
     T = np.zeros((pair.p, pair.q))
     T[np.arange(t.shape[0]), np.arange(t.shape[0])] = t
     residual = pair.X - T @ pair.Y - latent_noise(pair)
@@ -96,22 +95,21 @@ def test_latent_noise_recovered_bitwise():
     W = latent_noise(pair)
     assert np.array_equal(W, latent_noise(sample_coupled(cfg)))
     raw = standard_normal_matrix(seeded_rng(cfg.seed), cfg.p, cfg.n)
-    k = pair.latent.k
+    k = pair.t.shape[0]
     assert np.array_equal(W[k:], raw[k:])
     scale = np.max(np.abs(pair.X[:k]))
     assert np.max(np.abs(W[:k] - raw[:k])) <= 4 * np.finfo(float).eps * scale
 
 
 def test_coupling_matrix_structure():
-    # the latent is T's k nonzero diagonal entries, read-only
+    # the pair carries T's k nonzero diagonal entries t, read-only
     cfg = config(spikes=(0.8, 0.5))
-    latent = sample_coupled(cfg).latent
-    assert latent.t.shape == (2,)
-    assert latent.t[0] == spike_to_t(0.8)
-    assert latent.t[1] == spike_to_t(0.5)
-    assert latent.k == 2
+    t = sample_coupled(cfg).t
+    assert t.shape == (2,)
+    assert t[0] == spike_to_t(0.8)
+    assert t[1] == spike_to_t(0.5)
     with pytest.raises(ValueError):
-        latent.t[0] = 1.0
+        t[0] = 1.0
 
 
 def test_coupled_seeding_contract():
@@ -122,7 +120,8 @@ def test_coupled_seeding_contract():
     rng = seeded_rng(cfg.seed)
     raw_x = standard_normal_matrix(rng, cfg.p, cfg.n)
     raw_y = standard_normal_matrix(rng, cfg.q, cfg.n)
-    k, t = pair.latent.k, pair.latent.t
+    t = pair.t
+    k = t.shape[0]
     assert np.array_equal(pair.Y, raw_y)
     assert np.array_equal(pair.X[k:], raw_x[k:])
     assert np.array_equal(pair.X[:k], raw_x[:k] + t[:, None] * pair.Y[:k])
@@ -162,7 +161,7 @@ def test_general_null_case_passthrough():
     w2 = standard_normal_matrix(rng, cfg.q, cfg.n)
     assert np.array_equal(pair.X, w1)
     assert np.array_equal(pair.Y, w2)
-    assert pair.latent is None
+    assert pair.t is None
 
 
 def test_general_unit_spike_perfect_correlation():
@@ -212,7 +211,7 @@ def test_subtract_means_zeroes_row_means():
     centered = subtract_means(pair)
     assert np.max(np.abs(centered.X.mean(axis=1))) < 1e-12
     assert np.max(np.abs(centered.Y.mean(axis=1))) < 1e-12
-    assert centered.latent is None
+    assert centered.t is None
 
 
 def test_subtract_means_shift_invariance():
@@ -252,9 +251,9 @@ def test_data_pair_shape_check():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Latent(t=np.full((2, 1), 0.5)),
-        lambda: Latent(t=np.array([0.5, np.nan])),
-        lambda: DataPair(X=np.ones((2, 5)), Y=np.ones((3, 5)), latent=Latent(t=np.ones(3))),
+        lambda: DataPair(X=np.ones((2, 5)), Y=np.ones((3, 5)), t=np.full((2, 1), 0.5)),
+        lambda: DataPair(X=np.ones((2, 5)), Y=np.ones((3, 5)), t=np.array([0.5, np.nan])),
+        lambda: DataPair(X=np.ones((2, 5)), Y=np.ones((3, 5)), t=np.ones(3)),
     ],
     ids=["two_dimensional_t", "nan_t", "k_above_min_p_q"],
 )

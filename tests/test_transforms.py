@@ -213,7 +213,7 @@ def test_m1_finite_through_removable_point():
 
 def test_m_domain_errors():
     ratios = DimensionRatios(0.1, 0.2)
-    for z in (0.3, 0.5, float("nan")):
+    for z in (0.3, 0.5, wachter_edges(ratios).d_right, float("nan")):
         with pytest.raises(DomainError):
             m1(z, ratios)
         with pytest.raises(DomainError):
