@@ -14,11 +14,13 @@ so main is not meant to run concurrently in one process.
 
 Config values are checked, never converted: p, q, n, seed, replicates and
 top_m must be integers, spikes a list of numbers or a comma-separated string,
-detect_margin a positive finite number.
+detect_margin a positive finite number; null is not a value for any key.
+top_m defaults to min(10, p, q).
 
 Exit codes: 0 success, 1 usage or configuration error (malformed config
-values or CSV entries, non-finite input included), 2 I/O error, 3 numerical
-failure (singularity, branch or LAPACK errors).
+values or CSV entries, non-finite input and dimensions too large for numpy
+included), 2 I/O error, 3 numerical failure (singularity, branch or LAPACK
+errors) or out of memory.
 """
 
 from __future__ import annotations
@@ -27,23 +29,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import blas, cca, detverify, rmt, sampler
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-    SpikeCcaError,
-    UnsupportedModelError,
-)
+from .errors import ConfigurationError, NumericalError, SpikeCcaError, UnsupportedModelError
 from .model import DimensionRatios, ModelConfig, SpikeSpectrum, ratios_from_dims
 
 FIGURE_PRESET = {"p": 500, "q": 1000, "n": 5000, "spikes": [0.8, 0.7, 0.6, 0.16, 0.15]}
 
-_FORMATS = ("json", "csv")
+_FORMATS = ("json", "csv")  # the first is the default
 
 
 def default_detect_margin(n: int) -> float:
@@ -66,22 +62,28 @@ def _detect_margin(margin, n: int) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A Monte Carlo experiment: model plus orchestration parameters."""
+    """A Monte Carlo experiment: model plus orchestration parameters.
+
+    ``top_m=None`` resolves to min(10, p, q) and ``detect_margin=None`` to
+    :func:`default_detect_margin` of n.
+    """
 
     model: ModelConfig
     replicates: int = 1
-    top_m: int = 10
+    top_m: int | None = None
     detect_margin: float | None = None
-    outputs: tuple[str, ...] = ("json",)
+    outputs: tuple[str, ...] = _FORMATS[:1]
 
     def __post_init__(self):
         if not (type(self.replicates) is int and self.replicates >= 1):
             raise ConfigurationError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not (type(self.top_m) is int and 1 <= self.top_m <= min(self.model.p, self.model.q)):
+        dim = min(self.model.p, self.model.q)
+        top_m = min(10, dim) if self.top_m is None else self.top_m
+        if not (type(top_m) is int and 1 <= top_m <= dim):
             raise ConfigurationError(
-                f"top_m must be an integer in [1, min(p, q)] = "
-                f"[1, {min(self.model.p, self.model.q)}], got {self.top_m!r}"
+                f"top_m must be an integer in [1, min(p, q)] = [1, {dim}], got {top_m!r}"
             )
+        object.__setattr__(self, "top_m", top_m)
         object.__setattr__(self, "detect_margin", _detect_margin(self.detect_margin, self.model.n))
         outputs = self.outputs
         if not (isinstance(outputs, (list, tuple)) and outputs
@@ -152,6 +154,23 @@ def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: floa
     ]
 
 
+def _payload_header(config: ExperimentConfig) -> tuple[dict, dict, float]:
+    """The config echo, the theory block and the detection threshold of a run."""
+    model = config.model
+    echo = {
+        "p": model.p,
+        "q": model.q,
+        "n": model.n,
+        "spikes": list(model.spikes.r),
+        "seed": model.seed,
+        "replicates": config.replicates,
+        "top_m": config.top_m,
+        "detect_margin": config.detect_margin,
+    }
+    theory = theory_block(model.ratios, model.spikes)
+    return echo, theory, theory["d_right"] + config.detect_margin
+
+
 def simulate_run(config: ExperimentConfig) -> dict:
     """Run the Monte Carlo experiment and assemble its payload.
 
@@ -159,33 +178,21 @@ def simulate_run(config: ExperimentConfig) -> dict:
     data; the theory block depends only on the dimension ratios and spikes,
     never on the random draws.  Row i depends only on replicate i's stream.
     """
-    model = config.model
-    ratios = model.ratios
-    theory = theory_block(ratios, model.spikes)
-    threshold = theory["d_right"] + config.detect_margin
+    echo, theory, threshold = _payload_header(config)
     top_matrix = np.vstack(
-        [run_replicate(model, config.top_m, i)[1] for i in range(config.replicates)]
+        [run_replicate(config.model, config.top_m, i)[1] for i in range(config.replicates)]
     )
     replicate_rows = [
         {
             "index": i,
             "top": [float(v) for v in top_matrix[i]],
-            "estimates": _estimates_for(top_matrix[i], ratios, threshold),
+            "estimates": _estimates_for(top_matrix[i], config.model.ratios, threshold),
         }
         for i in range(config.replicates)
     ]
     ddof = 1 if config.replicates > 1 else 0
     return {
-        "config": {
-            "p": model.p,
-            "q": model.q,
-            "n": model.n,
-            "spikes": list(model.spikes.r),
-            "seed": model.seed,
-            "replicates": config.replicates,
-            "top_m": config.top_m,
-            "detect_margin": config.detect_margin,
-        },
+        "config": echo,
         "theory": theory,
         "replicates": replicate_rows,
         "aggregate": {
@@ -239,9 +246,8 @@ def verify_run(config: ExperimentConfig) -> dict:
         raise ConfigurationError("verification needs at least one spike")
     if 1.0 in model.spikes.r:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
-    ratios = model.ratios
-    theory = theory_block(ratios, model.spikes)
-    threshold = theory["d_right"] + config.detect_margin
+    echo, theory, threshold = _payload_header(config)
+    del echo["top_m"]
     z = (theory["d_right"] + 1.0) / 2.0
     rows = []
     residuals = []
@@ -262,15 +268,7 @@ def verify_run(config: ExperimentConfig) -> dict:
             }
         )
     return {
-        "config": {
-            "p": model.p,
-            "q": model.q,
-            "n": model.n,
-            "spikes": list(model.spikes.r),
-            "seed": model.seed,
-            "replicates": config.replicates,
-            "detect_margin": config.detect_margin,
-        },
+        "config": echo,
         "theory": theory,
         "probe_z": z,
         "replicates": rows,
@@ -381,6 +379,12 @@ def load_matrix(path: str) -> np.ndarray:
         raise ConfigurationError(f"malformed matrix file {path}: {exc}") from exc
 
 
+# The config keys are the init fields of the config types.  Only the keys given
+# reach those types, so their defaults are the only ones.
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.init)
+_EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init and f.name != "model")
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -389,52 +393,35 @@ def _load_config_file(path: str) -> dict:
             raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
+    unknown = set(data) - set(_MODEL_KEYS + _EXPERIMENT_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
+    nulls = [key for key, value in data.items() if value is None]
+    if nulls:
+        raise ConfigurationError(f"config keys {nulls} are null: null is not a value")
     return data
 
 
-_CONFIG_KEYS = {"p", "q", "n", "spikes", "seed", "replicates", "top_m", "detect_margin", "outputs"}
-
-
 def resolve_experiment(args) -> ExperimentConfig:
-    """Merge config file values and CLI flags (flags win) into a config."""
+    """Merge config file values, the preset and CLI flags (flags win) into a config."""
     values: dict = {}
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        unknown = set(file_values) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-        values.update(file_values)
+        values.update(_load_config_file(args.config))
     if getattr(args, "preset", None) == "figure1":
         for key, val in FIGURE_PRESET.items():
             values.setdefault(key, val)
-    for key in ("p", "q", "n", "seed", "replicates", "top_m", "detect_margin"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "spikes", None) is not None:
-        values["spikes"] = args.spikes
+    for key in _MODEL_KEYS + _EXPERIMENT_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     if getattr(args, "format", None):
         values["outputs"] = [args.format]
     missing = [key for key in ("p", "q", "n") if key not in values]
     if missing:
         raise ConfigurationError(f"missing required dimensions {missing}")
     spikes = values.get("spikes", [])
-    if isinstance(spikes, str):
-        spikes = _parse_spikes(spikes)
-    model = ModelConfig(
-        p=values["p"],
-        q=values["q"],
-        n=values["n"],
-        spikes=SpikeSpectrum(spikes),
-        seed=values.get("seed", 0),
-    )
-    config = ExperimentConfig(
-        model=model,
-        replicates=values.get("replicates", 1),
-        top_m=values.get("top_m", min(10, model.p, model.q)),
-        detect_margin=values.get("detect_margin"),
-        outputs=values.get("outputs", ("json",)),
-    )
+    values["spikes"] = SpikeSpectrum(_parse_spikes(spikes) if isinstance(spikes, str) else spikes)
+    model = ModelConfig(**{k: v for k, v in values.items() if k in _MODEL_KEYS})
+    config = ExperimentConfig(model, **{k: v for k, v in values.items() if k in _EXPERIMENT_KEYS})
     if len(config.outputs) > 1 and getattr(args, "out", None) is None:
         raise ConfigurationError(f"outputs {list(config.outputs)} need --out: stdout takes one format")
     return config
@@ -443,45 +430,33 @@ def resolve_experiment(args) -> ExperimentConfig:
 def build_parser() -> _Parser:
     parser = _Parser(prog="spikecca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", help="write results to this path instead of stdout")
-        p.add_argument("--format", choices=_FORMATS, help="output format (default json)")
-
     limits = sub.add_parser("limits", help="print the deterministic limit quantities")
     limits.add_argument("--c1", type=float)
     limits.add_argument("--c2", type=float)
-    limits.add_argument("--p", type=int)
-    limits.add_argument("--q", type=int)
-    limits.add_argument("--n", type=int)
-    limits.add_argument("--spikes", default="", help="comma separated spike list")
-    add_common(limits)
-
-    def add_experiment_flags(p):
+    simulate = sub.add_parser("simulate", help="run a Monte Carlo experiment")
+    estimate = sub.add_parser("estimate", help="estimate spikes from data files")
+    estimate.add_argument("--x", required=True, help="CSV matrix for the first vector")
+    estimate.add_argument("--y", required=True, help="CSV matrix for the second vector")
+    verify = sub.add_parser("verify", help="certify outliers with the determinant oracle")
+    # each flag once, on every command that takes it, in help order; a config
+    # key's flag has the key as its dest
+    for p in (simulate, verify):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", choices=["figure1"], help="named parameter preset")
+    for p in (limits, simulate, verify):
         p.add_argument("--p", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--spikes", help="comma separated spike list")
+    for p in (simulate, verify):
         p.add_argument("--seed", type=int)
         p.add_argument("--replicates", type=int)
         p.add_argument("--top-m", dest="top_m", type=int)
+    for p in (simulate, estimate, verify):
         p.add_argument("--detect-margin", dest="detect_margin", type=float)
-        add_common(p)
-
-    simulate = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    add_experiment_flags(simulate)
-
-    estimate = sub.add_parser("estimate", help="estimate spikes from data files")
-    estimate.add_argument("--x", required=True, help="CSV matrix for the first vector")
-    estimate.add_argument("--y", required=True, help="CSV matrix for the second vector")
-    estimate.add_argument("--detect-margin", dest="detect_margin", type=float)
-    add_common(estimate)
-
-    verify = sub.add_parser("verify", help="certify outliers with the determinant oracle")
-    add_experiment_flags(verify)
-
+    for p in (limits, simulate, estimate, verify):
+        p.add_argument("--out", help="write results to this path instead of stdout")
+        p.add_argument("--format", choices=_FORMATS, help="output format (default json)")
     return parser
 
 
@@ -494,7 +469,7 @@ def _cmd_limits(args) -> dict:
         ratios = ratios_from_dims(args.p, args.q, args.n)
     else:
         raise ConfigurationError("provide either --c1/--c2 or --p/--q/--n")
-    spikes = SpikeSpectrum(_parse_spikes(args.spikes))
+    spikes = SpikeSpectrum(_parse_spikes(args.spikes or ""))
     return theory_block(ratios, spikes)
 
 
@@ -514,36 +489,27 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     """Run one parsed command, emit its payload and return the exit code."""
     try:
+        outputs = (args.format or _FORMATS[0],)
         if args.command == "limits":
             payload = _cmd_limits(args)
-            outputs = (args.format,) if args.format else ("json",)
-        elif args.command == "simulate":
-            config = resolve_experiment(args)
-            payload = simulate_run(config)
-            outputs = config.outputs
         elif args.command == "estimate":
-            X = load_matrix(args.x)
-            Y = load_matrix(args.y)
-            payload = estimate_run(X, Y, args.detect_margin)
-            outputs = (args.format,) if args.format else ("json",)
-        elif args.command == "verify":
+            payload = estimate_run(load_matrix(args.x), load_matrix(args.y), args.detect_margin)
+        else:
             config = resolve_experiment(args)
-            payload = verify_run(config)
+            payload = (simulate_run if args.command == "simulate" else verify_run)(config)
             outputs = config.outputs
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigurationError(f"unknown command {args.command!r}")
         emit(payload, outputs, args.out)
         return 0
-    except (ConfigurationError, DomainError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SpikeCcaError as exc:  # pragma: no cover - defensive catch-all
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
+    except SpikeCcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,10 +12,24 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DomainError
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stack level of the nearest frame outside this module.
+
+    Called from the function that warns (level 1), it lets a warning raised
+    deep inside ``ModelConfig(...)`` or ``ratios_from_dims(...)`` name the
+    caller's line, as a direct ``DimensionRatios(...)`` call does.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 class EqualRatiosWarning(UserWarning):
@@ -54,7 +68,7 @@ class DimensionRatios:
                 "c1 == c2: limit formulas remain finite but the asymptotic "
                 "theory assumes distinct ratios",
                 EqualRatiosWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def swapped(self) -> "DimensionRatios":
@@ -130,6 +144,13 @@ class ModelConfig:
             v = getattr(self, name)
             if type(v) is not int or v <= 0:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+        # numpy indexes an array's bytes with a Py_ssize_t; a larger sample
+        # matrix would fail inside the sampler, with a traceback
+        if max(self.p, self.q) * self.n * 8 > sys.maxsize:
+            raise ConfigurationError(
+                f"a {max(self.p, self.q)}×{self.n} float64 sample matrix exceeds "
+                f"numpy's {sys.maxsize}-byte array limit"
+            )
         object.__setattr__(self, "ratios", ratios_from_dims(self.p, self.q, self.n))
         if self.spikes.k > min(self.p, self.q):
             raise ConfigurationError(

@@ -171,14 +171,40 @@ def test_several_outputs_need_out(tmp_path, monkeypatch, capsys, command):
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"p": 30, "q": 60, "n": 300, "spikes": [0.8], "seed": 5}))
+    cfg_path.write_text(json.dumps({
+        "p": 30, "q": 60, "n": 300, "spikes": [0.8], "seed": 5, "replicates": 1,
+        "top_m": 4, "detect_margin": 0.5, "outputs": ["json"],
+    }))
     code, out, _ = run_cli(
-        capsys, ["simulate", "--config", str(cfg_path), "--seed", "6", "--replicates", "2"]
+        capsys,
+        ["simulate", "--config", str(cfg_path), "--p", "20", "--q", "40", "--n", "250",
+         "--spikes", "0.7,0.2", "--seed", "6", "--replicates", "2", "--top-m", "3",
+         "--detect-margin", "0.25", "--format", "csv"],
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["config"]["seed"] == 6
-    assert payload["config"]["replicates"] == 2
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    echo = {key[len("config."):]: value for key, value in rows.items() if key.startswith("config.")}
+    assert echo == {
+        "p": "20", "q": "40", "n": "250", "spikes.0": "0.7", "spikes.1": "0.2", "seed": "6",
+        "replicates": "2", "top_m": "3", "detect_margin": "0.25",
+    }
+
+
+def test_config_file_sets_every_key(tmp_path):
+    from spikecca.cli import build_parser, resolve_experiment
+
+    keys = {
+        "p": 20, "q": 40, "n": 250, "spikes": [0.7, 0.2], "seed": 6, "replicates": 2,
+        "top_m": 3, "detect_margin": 0.25, "outputs": ["csv", "json"],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(keys))
+    args = build_parser().parse_args(["simulate", "--config", str(cfg_path), "--out", "run"])
+    config = resolve_experiment(args)
+    model = config.model
+    assert (model.p, model.q, model.n, list(model.spikes.r), model.seed) == (20, 40, 250, [0.7, 0.2], 6)
+    assert (config.replicates, config.top_m, config.detect_margin) == (2, 3, 0.25)
+    assert config.outputs == ("csv", "json")
 
 
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
@@ -196,6 +222,7 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
         {"detect_margin": "x"}, {"p": 30.7}, {"seed": 1.9}, {"spikes": ["a"]},
         {"spikes": {"0.8": 1}}, {"spikes": ["0.8"]},
         {"replicates": True}, {"detect_margin": True}, {"outputs": 5}, {"outputs": []},
+        {"detect_margin": None}, {"seed": None},
     ],
     ids=json.dumps,
 )
@@ -228,6 +255,28 @@ def test_simulate_invalid_dimensions_exit_one(capsys):
     assert code == 1
 
 
+def test_simulate_oversized_dimension_exit_one_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an unindexable matrix")
+
+    monkeypatch.setattr(sampler, "sample_coupled", no_sampling)
+    code, out, err = run_cli(capsys, ["simulate", "--p", "1", "--q", "1", "--n", str(10**20)])
+    assert code == 1
+    assert err.startswith("error:") and "array limit" in err and out == ""
+
+
+def test_out_of_memory_exit_three(monkeypatch, capsys):
+    # a stand-in for a failed allocation: a real oversized one may succeed
+    # under overcommit and then be killed
+    def no_memory(rng, rows, cols):
+        raise MemoryError(f"Unable to allocate a {rows}x{cols} array")
+
+    monkeypatch.setattr(sampler, "standard_normal_matrix", no_memory)
+    code, out, err = run_cli(capsys, simulate_args())
+    assert code == 3
+    assert err == "out of memory: Unable to allocate a 30x300 array\n" and out == ""
+
+
 def test_simulate_unit_spike_deterministic_top(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -258,6 +307,12 @@ def test_figure_preset_fills_dimensions():
     assert (config.model.p, config.model.q, config.model.n) == (500, 1000, 5000)
     assert config.model.spikes.r == (0.8, 0.7, 0.6, 0.16, 0.15)
     assert config.replicates == 2
+
+
+def test_experiment_config_default_top_m_fits_small_dimensions():
+    model = ModelConfig(p=8, q=30, n=200, spikes=SpikeSpectrum((0.5,)))
+    assert ExperimentConfig(model).top_m == 8
+    assert ExperimentConfig(model, top_m=None).top_m == 8
 
 
 def test_experiment_config_validation():

@@ -121,7 +121,9 @@ def test_mixing_weights_accept_unit_spike():
 def test_equal_ratios_warning_points_at_the_caller():
     with pytest.warns(EqualRatiosWarning) as record:
         DimensionRatios(0.25, 0.25)
-    assert record[0].filename == __file__
+        ratios_from_dims(1, 1, 4)
+        ModelConfig(p=100, q=100, n=1000, spikes=SpikeSpectrum(()))
+    assert [w.filename for w in record] == [__file__] * 3
 
 
 def test_spectrum_ordering_enforced():
