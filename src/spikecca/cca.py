@@ -1,10 +1,11 @@
 """Sample covariances and squared sample canonical correlations.
 
-The stable path never inverts a covariance block.  The pair's cached joint
-factor (one R-only Householder QR [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] and the
-small QR [Ryx; Rxx] = Qx Rx) gives orthonormal row-space bases Q[:, :q] of Y
-and Q Qx of X, so the cosines of the principal angles between the row spaces
-are the singular values of Qx[:q]; their squares are the eigenvalues of the
+The stable path never inverts a covariance block.  It reads the pair's
+cached :class:`~spikecca.sampler.JointFactor`: one R-only Householder QR
+[Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] and the small QR [Ryx; Rxx] = Qx Rx give
+orthonormal row-space bases Q[:, :q] of Y and Q Qx of X, so the cosines of
+the principal angles between the row spaces are the singular values of the
+factor's cosine block Qx[:q]; their squares are the eigenvalues of the
 canonical correlation matrix (Bjorck and Golub, "Numerical methods for
 computing angles between linear subspaces", Math. Comp. 1973).  A direct
 brute-force eigensolve of the textbook matrix product is kept as an oracle
@@ -78,17 +79,15 @@ def _clamp_spectrum(lam: np.ndarray, method: str) -> np.ndarray:
 def squared_canonical_correlations(pair: DataPair) -> EigenReport:
     """Squared sample canonical correlations by the projection method.
 
-    Requires p < n and q < n and numerically nonsingular covariance blocks.
+    The squared singular values of ``pair.factor.cosines``.  The factor
+    requires p < n and q < n and numerically nonsingular covariance blocks.
     Values are clamped to [0, 1] after a small-slack check; a violation beyond
     the slack raises instead of silently clamping.
     """
-    if not (pair.p < pair.n and pair.q < pair.n):
-        raise ConfigurationError(
-            f"need p < n and q < n, got p = {pair.p}, q = {pair.q}, n = {pair.n}"
-        )
-    sigma = np.linalg.svd(pair.joint_qr[1][: pair.q], compute_uv=False)
+    factor = pair.factor
+    sigma = np.linalg.svd(factor.cosines, compute_uv=False)
     lam = _clamp_spectrum(sigma * sigma, "stable")
-    return EigenReport(lambdas=lam, p=pair.p, q=pair.q, n=pair.n, method="stable")
+    return EigenReport(lambdas=lam, p=factor.p, q=factor.q, n=factor.n, method="stable")
 
 
 def brute_force_ccs(pair: DataPair) -> EigenReport:

@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -157,16 +158,10 @@ def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: floa
 def _payload_header(config: ExperimentConfig) -> tuple[dict, dict, float]:
     """The config echo, the theory block and the detection threshold of a run."""
     model = config.model
-    echo = {
-        "p": model.p,
-        "q": model.q,
-        "n": model.n,
-        "spikes": list(model.spikes.r),
-        "seed": model.seed,
-        "replicates": config.replicates,
-        "top_m": config.top_m,
-        "detect_margin": config.detect_margin,
-    }
+    # every config key but outputs, which only picks the payload's format
+    echo = {key: getattr(model, key) for key in _MODEL_KEYS}
+    echo["spikes"] = list(model.spikes.r)
+    echo.update((key, getattr(config, key)) for key in _EXPERIMENT_KEYS if key != "outputs")
     theory = theory_block(model.ratios, model.spikes)
     return echo, theory, theory["d_right"] + config.detect_margin
 
@@ -247,7 +242,6 @@ def verify_run(config: ExperimentConfig) -> dict:
     if 1.0 in model.spikes.r:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
     echo, theory, threshold = _payload_header(config)
-    del echo["top_m"]
     z = (theory["d_right"] + 1.0) / 2.0
     rows = []
     residuals = []
@@ -482,7 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    with blas.single_thread():
+    with blas.single_thread(), warnings.catch_warnings():
+        # one "warning:" line per warning, like the "error:" lines
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         return _dispatch(args)
 
 

@@ -10,16 +10,17 @@ that is not an eigenvalue of the null matrix must be a root of
 
 where Delta = U V is a thin factorization into k^2 + 2k columns and
 Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side resolvent.
-With the pair's cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] (the
-one the canonical correlations use) and X = W + T Y, Q'W' stacks
-A1 = Ryx - Ryy T' on Rxx, so Swy Syy^{-1} Syw = E = A1'A1/n and
-Sww = (A1'A1 + Rxx'Rxx)/n: no n-length array is read.  One generalized
-eigendecomposition E v = mu Sww v of this null pencil, normalized so that
-V' Sww V = I, gives Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the
-mu are the squared canonical correlations of the null pair (W, Y).  This
-module builds the factors, evaluates the resolvent and the reduced
-determinant, and compares the finite-sample matrix M_n(z) = I + (1-z) V
-Phi(z) U entrywise with its deterministic limit.
+The oracle reads only the blocks Ryy, Ryx and Rxx of the pair's cached
+joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
+correlations use.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
+Swy Syy^{-1} Syw = E = A1'A1/n and Sww = (A1'A1 + Rxx'Rxx)/n: no n-length
+array is read.  One generalized eigendecomposition E v = mu Sww v of this
+null pencil, normalized so that V' Sww V = I, gives
+Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the mu are the squared
+canonical correlations of the null pair (W, Y).  This module builds the
+factors, evaluates the resolvent and the reduced determinant, and compares
+the finite-sample matrix M_n(z) = I + (1-z) V Phi(z) U entrywise with its
+deterministic limit.
 
 Everything here needs the spike strengths t that a pair drawn by the coupled
 sampler carries (``DataPair.t``): the decomposition is a simulation-time
@@ -73,9 +74,11 @@ class DeterminantOracle:
 
     ``S_wy`` = A1'Ryy[:, :k]/n (p x k) and ``S_yy`` = Ryy[:, :k]'Ryy[:, :k]/n
     (k x k) hold only the k spiked columns of the cross and Y covariances, the
-    only part of them that Delta reads.  Every block comes from the pair's
-    guarded joint factor, so both Sxx and Syy must be nonsingular
-    (:class:`SingularityError` otherwise).
+    only part of them that Delta reads.  Every block, and t, p, q and n, come
+    from ``pair.factor``, so the pair needs p < n and q < n
+    (:class:`ConfigurationError`) and nonsingular Sxx and Syy
+    (:class:`SingularityError`).  A pair without t is rejected before it is
+    factorized.
 
     Use this class directly when evaluating the determinant or the resolvent
     at many points; the module-level functions rebuild it per call.
@@ -87,19 +90,17 @@ class DeterminantOracle:
                 "determinant verification needs a pair that carries its spike "
                 "strengths t, as the coupled sampler draws it"
             )
-        self.pair = pair
-        self.t = pair.t
-        n, q, k = pair.n, pair.q, self.t.shape[0]
-        self.k = k
-        R = pair.joint_qr[0]
-        R_yk = R[:q, :k]
-        A = R[:q, q:].copy()
+        factor = pair.factor
+        self.t, self.p, self.q, self.n = factor.t, factor.p, factor.q, factor.n
+        k = self.k = self.t.shape[0]
+        R_yk = factor.Ryy[:, :k]
+        A = factor.Ryx.copy()
         A[:, :k] -= R_yk * self.t
-        gram, R_xx = A.T @ A, R[q:, q:]
-        self.E = gram / n
-        self.S_ww = (gram + R_xx.T @ R_xx) / n
-        self.S_wy = A.T @ R_yk / n
-        self.S_yy = R_yk.T @ R_yk / n
+        gram = A.T @ A
+        self.E = gram / self.n
+        self.S_ww = (gram + factor.Rxx.T @ factor.Rxx) / self.n
+        self.S_wy = A.T @ R_yk / self.n
+        self.S_yy = R_yk.T @ R_yk / self.n
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
         self.mu, self.vecs = eigh(self.E, self.S_ww)
         self._factors: PerturbationFactors | None = None
@@ -112,7 +113,7 @@ class DeterminantOracle:
             return self._factors
         if self.k < 1:
             raise UnsupportedModelError("factorization needs at least one spike")
-        p, k, t = self.pair.p, self.k, self.t
+        p, k, t = self.p, self.k, self.t
         chi = np.outer(t, t) * self.S_yy
         u_vecs = self.S_wy
         unit = np.eye(p)
@@ -206,7 +207,7 @@ class DeterminantOracle:
 
     @cached_property
     def ratios(self) -> DimensionRatios:
-        return ratios_from_dims(self.pair.p, self.pair.q, self.pair.n)
+        return ratios_from_dims(self.p, self.q, self.n)
 
     def mn_comparison(self, z: float) -> MnComparison:
         """M_n(z) next to its limit M(z), at a real z beyond the bulk edge."""
@@ -219,11 +220,6 @@ def build_factors(pair: DataPair) -> PerturbationFactors:
     return DeterminantOracle(pair).factors()
 
 
-def phi_matrix(pair: DataPair, lam: float) -> np.ndarray:
-    """Null-side resolvent Phi(lam), via the generalized eigenpairs of the null pencil."""
-    return DeterminantOracle(pair).phi(lam)
-
-
 def finite_n_det(pair: DataPair, lam: float) -> float:
     """det(I + (1 - lam) V Phi(lam) U), scaled by the product of row norms.
 
@@ -231,13 +227,3 @@ def finite_n_det(pair: DataPair, lam: float) -> float:
     normalized value is at most 1 in magnitude.
     """
     return DeterminantOracle(pair).normalized_det(lam)
-
-
-def mn_entry_convergence(pair: DataPair, z: float) -> MnComparison:
-    """Entries of M_n(z) = I + (1-z) V Phi(z) U next to their limits.
-
-    Intended for statistical comparison across replicates at a real z beyond
-    the bulk edge; see :meth:`DeterminantOracle.limit_matrix` for the limit
-    structure.
-    """
-    return DeterminantOracle(pair).mn_comparison(z)

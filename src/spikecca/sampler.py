@@ -74,11 +74,52 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
+class JointFactor:
+    """Guarded joint factor of a pair X (p x n), Y (q x n): the blocks CCA and the oracle read.
+
+    [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] by one R-only Householder QR (Q is
+    never formed), and [Ryx; Rxx] = Qx Rx; Rxx is (n - q) x p when p + q > n.
+    The singular values of ``cosines`` = Qx[:q] are the cosines of the
+    principal angles between the row spaces.  The blocks are read-only views
+    of R and Qx, not copies.  :meth:`of` needs p < n and q < n; its rank guard
+    checks Sxx on Rx, then Syy on Ryy, against COND_THRESHOLD, reading their
+    singular values unless :func:`_clearly_nonsingular` clears them first.
+    """
+
+    Ryy: np.ndarray
+    Ryx: np.ndarray
+    Rxx: np.ndarray
+    cosines: np.ndarray
+    t: np.ndarray | None
+    p: int
+    q: int
+    n: int
+
+    @classmethod
+    def of(cls, X: np.ndarray, Y: np.ndarray, t: np.ndarray | None = None) -> JointFactor:
+        (p, n), q = X.shape, Y.shape[0]
+        if not (p < n and q < n):
+            raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
+        R = np.linalg.qr(np.vstack((Y, X)).T, mode="r")
+        Qx, Rx = np.linalg.qr(R[:, q:])
+        for block, factor in (("Sxx", Rx), ("Syy", R[:q, :q])):
+            if not _clearly_nonsingular(factor):
+                s = np.linalg.svd(factor, compute_uv=False)
+                if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+                    cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+                    raise SingularityError(block, cond)
+        R.flags.writeable = False
+        Qx.flags.writeable = False
+        return cls(R[:q, :q], R[:q, q:], R[q:, q:], Qx[:q], t, p, q, n)
+
+
+@dataclass(frozen=True)
 class DataPair:
     """Paired data matrices X (p x n) and Y (q x n), columns are samples.
 
-    X and Y are finite and read-only, so their guarded joint factorization
-    (:attr:`joint_qr`) is computed once, on first use, and shared by every
+    X and Y are finite and read-only; a C-contiguous float64 array passed in
+    is marked read-only in place, not copied.  The guarded joint factor
+    (:attr:`factor`) is computed once, on first use, and shared by every
     consumer of the pair.  A coupled pair X = W + T Y also carries ``t``:
     T's k <= min(p, q) nonzero diagonal entries, read-only (else None).
     """
@@ -126,27 +167,9 @@ class DataPair:
         return self.X.shape[1]
 
     @cached_property
-    def joint_qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Guarded factors (R, Qx) of the stacked samples [Y' X'] (n x (q+p)).
-
-        [Y' X'] = Q R with R = [[Ryy, Ryx], [0, Rxx]] from one R-only
-        Householder QR (Q is never formed), and [Ryx; Rxx] = Qx Rx.  Ryy and Rx
-        have the singular values of Y and X.  The rank guard fails when the
-        smallest eigenvalue of a covariance block drops below COND_THRESHOLD
-        times the largest; it checks X (block "Sxx") before Y (block "Syy").
-        A factor that :func:`_clearly_nonsingular` clears passes at once, and
-        any other is judged on its singular values.
-        """
-        q = self.q
-        R = np.linalg.qr(np.vstack((self.Y, self.X)).T, mode="r")
-        Qx, Rx = np.linalg.qr(R[:, q:])
-        for block, factor in (("Sxx", Rx), ("Syy", R[:q, :q])):
-            if not _clearly_nonsingular(factor):
-                s = np.linalg.svd(factor, compute_uv=False)
-                if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
-                    cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-                    raise SingularityError(block, cond)
-        return R, Qx
+    def factor(self) -> JointFactor:
+        """The pair's :class:`JointFactor`; raises for p >= n, q >= n or a singular block."""
+        return JointFactor.of(self.X, self.Y, self.t)
 
 
 def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:

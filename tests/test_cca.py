@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from spikecca import (
     EigenReport,
     ModelConfig,
     SingularityError,
+    SpectrumRangeError,
     SpikeSpectrum,
     brute_force_ccs,
     empirical_cdf,
@@ -19,6 +21,8 @@ from spikecca import (
     squared_canonical_correlations,
     standard_normal_matrix,
 )
+from spikecca.cca import RANGE_SLACK
+from spikecca.cli import main
 from spikecca.sampler import COND_THRESHOLD, _clearly_nonsingular
 
 
@@ -245,6 +249,41 @@ def test_spectrum_within_unit_interval():
             assert np.all(report.lambdas >= 0.0)
             assert np.all(report.lambdas <= 1.0)
             assert np.all(np.diff(report.lambdas) <= 1e-12)
+
+
+def factor_with_top_cosine(pair, top):
+    """The pair's joint factor, its cosine block scaled to top singular value top."""
+    factor = pair.factor
+    sigma = np.linalg.svd(factor.cosines, compute_uv=False)
+    return replace(factor, cosines=factor.cosines * (top / sigma[0]))
+
+
+def test_spectrum_range_slack(monkeypatch):
+    pair = random_pair(seeded_rng(15), p=6, q=7, n=60, spikes=(0.9,))
+    lam = squared_canonical_correlations(pair).lambdas
+    # beyond the slack the stable path raises instead of clamping
+    beyond = factor_with_top_cosine(pair, 1.0 + 10 * RANGE_SLACK)
+    monkeypatch.setattr(DataPair, "factor", property(lambda self: beyond))
+    with pytest.raises(SpectrumRangeError, match="stable"):
+        squared_canonical_correlations(pair)
+    # within the slack the top value is clamped to 1 and the rest are untouched
+    top = 1.0 + 0.2 * RANGE_SLACK
+    within = factor_with_top_cosine(pair, top)
+    monkeypatch.setattr(DataPair, "factor", property(lambda self: within))
+    clamped = squared_canonical_correlations(pair).lambdas
+    assert clamped[0] == 1.0
+    assert np.max(np.abs(clamped[1:] - lam[1:] * top**2 / lam[0])) < 1e-12
+
+
+def test_spectrum_range_error_exits_three(monkeypatch, capsys):
+    pair = random_pair(seeded_rng(16), p=4, q=5, n=40, spikes=(0.9,))
+    beyond = factor_with_top_cosine(pair, 1.5)
+    monkeypatch.setattr(DataPair, "factor", property(lambda self: beyond))
+    code = main(["simulate", "--p", "4", "--q", "5", "--n", "40", "--spikes", "0.9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:") and "beyond slack" in captured.err
 
 
 # -- empirical distribution -------------------------------------------------------------

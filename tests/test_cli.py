@@ -435,6 +435,17 @@ def test_verify_certifies_outliers_at_figure_scale(capsys):
     assert payload["probe_z"] == pytest.approx((0.5 + 1.0) / 2.0, abs=1e-12)
 
 
+def test_verify_echoes_the_top_m_it_certifies(capsys):
+    base = ["verify", "--p", "100", "--q", "200", "--n", "1000",
+            "--spikes", "0.8,0.7,0.6", "--seed", "42"]
+    for top_m, certified in ((1, 1), (10, 3)):
+        code, out, _ = run_cli(capsys, base + ["--top-m", str(top_m)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["top_m"] == top_m
+        assert payload["summary"]["outliers_certified"] == certified
+
+
 def test_verify_subcritical_spikes_certify_nothing():
     model = ModelConfig(p=60, q=90, n=600, spikes=SpikeSpectrum((0.05,)), seed=2)
     payload = verify_run(ExperimentConfig(model=model, replicates=2, top_m=5))
@@ -463,6 +474,20 @@ def test_verify_needs_a_spike(capsys):
 
 
 # -- argument handling ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limits", "--p", "5", "--q", "5", "--n", "100"],
+        ["simulate", "--p", "100", "--q", "100", "--n", "1000"],
+    ],
+    ids=["limits", "simulate"],
+)
+def test_equal_ratios_warn_in_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)
+    assert err.startswith("warning: c1 == c2: ") and err.endswith("\n") and err.count("\n") == 1
 
 
 def test_unknown_flag_exit_one(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spikecca import (
+    ConfigurationError,
     DataPair,
     DeterminantOracle,
     DomainError,
@@ -13,8 +14,6 @@ from spikecca import (
     build_factors,
     f,
     finite_n_det,
-    mn_entry_convergence,
-    phi_matrix,
     ratios_from_dims,
     replicate_rng,
     sample_coupled,
@@ -111,7 +110,7 @@ def test_resolvent_matches_direct_formula(spiked_pair):
     S_ww = W @ W.T / n
     lam = 0.7
     direct = np.linalg.inv(S_wy @ np.linalg.solve(S_yy, S_wy.T) - lam * S_ww)
-    assert np.max(np.abs(phi_matrix(spiked_pair, lam) - direct)) < 1e-8
+    assert np.max(np.abs(DeterminantOracle(spiked_pair).phi(lam) - direct)) < 1e-8
 
 
 def test_projection_split_sums_to_covariance(spiked_pair):
@@ -168,6 +167,22 @@ def test_rank_deficient_x_and_y_report_sxx_first():
         with pytest.raises(SingularityError) as info:
             compute(pair)
         assert info.value.block == "Sxx"
+
+
+@pytest.mark.parametrize("p, q, n", [(5, 30, 20), (30, 5, 20)])
+def test_oracle_rejects_the_dimensions_cca_rejects(p, q, n):
+    # the joint factor owns the p < n and q < n check for every consumer
+    rng = seeded_rng(p)
+    pair = DataPair(
+        X=standard_normal_matrix(rng, p, n), Y=standard_normal_matrix(rng, q, n), t=[0.5]
+    )
+    for compute in (
+        squared_canonical_correlations,
+        DeterminantOracle,
+        lambda pair: finite_n_det(pair, 0.9),
+    ):
+        with pytest.raises(ConfigurationError, match="p < n and q < n"):
+            compute(pair)
 
 
 def test_oracle_blocks_match_latent_formulas():
@@ -274,16 +289,17 @@ def test_reduced_equals_full_determinant(spiked_pair):
 
 def test_zero_coupling_reduced_matrix_is_identity():
     pair = zero_coupling_pair()
-    comparison = mn_entry_convergence(pair, 0.7)
+    comparison = DeterminantOracle(pair).mn_comparison(0.7)
     assert np.array_equal(comparison.finite, np.eye(3))
     assert np.array_equal(comparison.limit, np.eye(3))
 
 
 def test_mn_comparison_domain(spiked_pair):
     ratios = ratios_from_dims(spiked_pair.p, spiked_pair.q, spiked_pair.n)
+    oracle = DeterminantOracle(spiked_pair)
     for z in (0.2, wachter_edges(ratios).d_right, float("nan")):
         with pytest.raises(DomainError):
-            mn_entry_convergence(spiked_pair, z)
+            oracle.mn_comparison(z)
 
 
 def test_leading_entry_concentrates():
@@ -293,7 +309,7 @@ def test_leading_entry_concentrates():
     entries = []
     for i in range(reps):
         pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-        entries.append(mn_entry_convergence(pair, z).finite[0, 0])
+        entries.append(DeterminantOracle(pair).mn_comparison(z).finite[0, 0])
     ratios = cfg.ratios
     target = 1.0 + spike_to_t(0.8) ** 2 * f(z, ratios)
     assert abs(float(np.mean(entries)) - target) < 0.05
@@ -305,7 +321,7 @@ def test_cross_spike_entries_concentrate_near_zero():
     off = []
     for i in range(reps):
         pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-        comparison = mn_entry_convergence(pair, z)
+        comparison = DeterminantOracle(pair).mn_comparison(z)
         # block coupling spike 1 to spike 2 has zero limit
         off.append(comparison.finite[0, 3])
     assert abs(float(np.mean(off))) < 0.05
@@ -319,7 +335,7 @@ def test_entry_scatter_shrinks_with_dimension():
         deviations = []
         for i in range(48):
             pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-            deviations.append(mn_entry_convergence(pair, z).finite[0, 0])
+            deviations.append(DeterminantOracle(pair).mn_comparison(z).finite[0, 0])
         spreads.append(float(np.std(deviations)))
     assert spreads[0] / spreads[1] > 1.5
 

@@ -262,6 +262,33 @@ def test_latent_boundary_checks(build):
         build()
 
 
+@pytest.mark.parametrize("p, q, n", [(20, 30, 200), (60, 80, 100)])
+def test_joint_factor_blocks_are_read_only_views(p, q, n):
+    rng = seeded_rng(p)
+    pair = DataPair(X=standard_normal_matrix(rng, p, n), Y=standard_normal_matrix(rng, q, n))
+    factor = pair.factor
+    assert factor is pair.factor
+    assert (factor.p, factor.q, factor.n, factor.t) == (p, q, n, None)
+    # Rxx has n - q rows when p + q > n, not p
+    rows = min(n, p + q)
+    assert factor.Ryy.shape == (q, q)
+    assert factor.Ryx.shape == (q, p)
+    assert factor.Rxx.shape == (rows - q, p)
+    assert factor.cosines.shape == (q, p)
+    R = factor.Ryy.base
+    assert R.shape == (rows, q + p)
+    assert factor.Ryx.base is R and factor.Rxx.base is R
+    for block in (factor.Ryy, factor.Ryx, factor.Rxx, factor.cosines):
+        assert not block.flags.writeable and not block.flags.owndata
+
+
+def test_data_pair_freezes_the_callers_array_without_a_copy():
+    X = standard_normal_matrix(seeded_rng(3), 4, 30)
+    pair = DataPair(X=X, Y=standard_normal_matrix(seeded_rng(4), 5, 30), t=[0.5])
+    assert pair.X is X and not X.flags.writeable
+    assert pair.factor.t is pair.t
+
+
 def test_data_pair_immutable():
     pair = sample_coupled(config())
     with pytest.raises(ValueError):
