@@ -229,6 +229,27 @@ def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> d
     }
 
 
+def _verify_replicate(
+    model: ModelConfig, top_m: int, index: int, threshold: float, z: float
+) -> dict:
+    """One replicate's row of the verify payload.
+
+    The pair and its oracle live only in this call, so a run holds one
+    replicate's working set at a time.
+    """
+    pair, top = run_replicate(model, top_m, index)
+    oracle = detverify.DeterminantOracle(pair)
+    outliers = [
+        {"lambda": lam, "normalized_det": oracle.normalized_det(lam)}
+        for _, lam in _outliers(top, threshold)
+    ]
+    return {
+        "index": index,
+        "outliers": outliers,
+        "mn_max_abs_diff": oracle.mn_comparison(z).max_abs_diff(),
+    }
+
+
 def verify_run(config: ExperimentConfig) -> dict:
     """Certify detected outliers against the finite-sample determinant.
 
@@ -243,24 +264,11 @@ def verify_run(config: ExperimentConfig) -> dict:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
     echo, theory, threshold = _payload_header(config)
     z = (theory["d_right"] + 1.0) / 2.0
-    rows = []
-    residuals = []
-    for index in range(config.replicates):
-        pair, top = run_replicate(model, config.top_m, index)
-        oracle = detverify.DeterminantOracle(pair)
-        outliers = []
-        for _, lam in _outliers(top, threshold):
-            det = oracle.normalized_det(lam)
-            residuals.append(abs(det))
-            outliers.append({"lambda": lam, "normalized_det": det})
-        comparison = oracle.mn_comparison(z)
-        rows.append(
-            {
-                "index": index,
-                "outliers": outliers,
-                "mn_max_abs_diff": comparison.max_abs_diff(),
-            }
-        )
+    rows = [
+        _verify_replicate(model, config.top_m, index, threshold, z)
+        for index in range(config.replicates)
+    ]
+    residuals = [abs(o["normalized_det"]) for row in rows for o in row["outliers"]]
     return {
         "config": echo,
         "theory": theory,

@@ -3,15 +3,19 @@
 The spiked canonical correlation matrix differs from its null counterpart by
 a low-rank perturbation Delta = T Syw + Swy T' + T Syy T' built from the
 latent noise W = X - T Y and the coupling T, whose only nonzero entries are
-the k spike strengths t on its diagonal.  An eigenvalue of the spiked matrix
-that is not an eigenvalue of the null matrix must be a root of
+the k spike strengths t on its diagonal.  With B = [e_1 ... e_k, s_1 ... s_k]
+(p x 2k), s_i the i-th column of Swy, and the 2k x 2k core
+C = [[chi, diag(t)], [diag(t), 0]], chi = t t' * Syy[:k, :k], the
+perturbation is Delta = B C B' = U V with U = B C and V = B'.  An eigenvalue
+of the spiked matrix that is not an eigenvalue of the null matrix must be a
+root of
 
     det(I + (1 - lam) V Phi(lam) U) = 0,
 
-where Delta = U V is a thin factorization into k^2 + 2k columns and
-Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side resolvent.
-The oracle reads only the blocks Ryy, Ryx and Rxx of the pair's cached
-joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
+the 2k x 2k form of det(I_p + (1 - lam) Phi(lam) Delta) by Sylvester's
+identity, where Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side
+resolvent.  The oracle reads only the blocks Ryy, Ryx and Rxx of the pair's
+cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
 correlations use.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
 Swy Syy^{-1} Syw = E = A1'A1/n and Sww = (A1'A1 + Rxx'Rxx)/n: no n-length
 array is read.  One generalized eigendecomposition E v = mu Sww v of this
@@ -20,7 +24,7 @@ Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the mu are the squared
 canonical correlations of the null pair (W, Y).  This module builds the
 factors, evaluates the resolvent and the reduced determinant, and compares
 the finite-sample matrix M_n(z) = I + (1-z) V Phi(z) U entrywise with its
-deterministic limit.
+deterministic limit, one 2 x 2 block per spike.
 
 Everything here needs the spike strengths t that a pair drawn by the coupled
 sampler carries (``DataPair.t``): the decomposition is a simulation-time
@@ -51,7 +55,7 @@ _DELTA_CHECK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PerturbationFactors:
-    """Thin factors U (p x (k^2+2k)), V ((k^2+2k) x p) with Delta = U V."""
+    """Thin factors U = B C (p x 2k) and V = B' (2k x p) with Delta = U V."""
 
     U: np.ndarray
     V: np.ndarray
@@ -111,25 +115,14 @@ class DeterminantOracle:
         """U and V with Delta = U V, built and checked once per oracle."""
         if self._factors is not None:
             return self._factors
-        if self.k < 1:
-            raise UnsupportedModelError("factorization needs at least one spike")
         p, k, t = self.p, self.k, self.t
-        chi = np.outer(t, t) * self.S_yy
-        u_vecs = self.S_wy
-        unit = np.eye(p)
-        u_cols, v_rows = [], []
-        for i in range(k):
-            e_i = unit[i]
-            u_cols += [chi[i, i] * e_i, t[i] * e_i, t[i] * u_vecs[:, i]]
-            v_rows += [e_i, u_vecs[:, i], e_i]
-        for i in range(k):
-            for j in range(k):
-                if j == i:
-                    continue
-                u_cols.append(chi[i, j] * unit[j])
-                v_rows.append(unit[i])
-        U = np.column_stack(u_cols)
-        V = np.vstack(v_rows)
+        B = np.zeros((p, 2 * k))
+        B[:k, :k] = np.eye(k)
+        B[:, k:] = self.S_wy
+        T = np.diag(t)
+        C = np.block([[np.outer(t, t) * self.S_yy, T], [T, np.zeros((k, k))]])
+        U = B @ C
+        V = B.T
         delta = U @ V
 
         # T Swy' + Swy T' + T Syy T', with T's k nonzero entries t on the diagonal
@@ -176,34 +169,22 @@ class DeterminantOracle:
         return float(np.linalg.det(M) / np.prod(norms))
 
     def limit_matrix(self, z: float) -> np.ndarray:
-        """Entrywise limit of the reduced matrix at a real z beyond the bulk.
+        """Entrywise limit [[I + f T^2, f T], [h T, I]] of the reduced matrix.
 
-        One 3 x 3 block per spike built from f(z) and h(z) on the leading
-        diagonal; the trailing rows replicate unit vectors of the leading
-        sector and inherit the same first-row limits (t^2 f, t f), which sit
-        below the diagonal and leave the determinant equal to the product of
-        the 3 x 3 block determinants.  All remaining entries vanish.
+        f = f(z) and h = h(z) at a real z beyond the bulk, T = diag(t).  In
+        the limit B'Phi(z)B (1 - z) tends to diag(f I, h I) and chi to T^2,
+        so spike i lives in the 2 x 2 block at rows and columns i and k + i,
+        whose determinant is ``limiting_det_factor(z, t_i)``.
         """
         fz = limit_f(z, self.ratios)
         hz = limit_h(z, self.ratios)
-        k = self.k
-        dim = k * k + 2 * k
-        M = np.eye(dim)
-        for i, ti in enumerate(self.t):
-            block = np.array(
-                [
-                    [ti * ti * fz, ti * fz, 0.0],
-                    [0.0, 0.0, ti * hz],
-                    [ti * ti * fz, ti * fz, 0.0],
-                ]
-            )
-            M[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] += block
-        for i, ti in enumerate(self.t):
-            for m in range(k - 1):
-                row = 3 * k + i * (k - 1) + m
-                M[row, 3 * i] += ti * ti * fz
-                M[row, 3 * i + 1] += ti * fz
-        return M
+        t = self.t
+        return np.block(
+            [
+                [np.diag(1.0 + fz * t * t), np.diag(fz * t)],
+                [np.diag(hz * t), np.eye(self.k)],
+            ]
+        )
 
     @cached_property
     def ratios(self) -> DimensionRatios:

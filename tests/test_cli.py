@@ -1,11 +1,20 @@
 import json
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikecca import ConfigurationError, ModelConfig, SpikeSpectrum, cca, sample_coupled, sampler
+from spikecca import (
+    ConfigurationError,
+    ModelConfig,
+    SpikeSpectrum,
+    cca,
+    detverify,
+    sample_coupled,
+    sampler,
+)
 from spikecca.cli import (
     ExperimentConfig,
     default_detect_margin,
@@ -451,6 +460,30 @@ def test_verify_subcritical_spikes_certify_nothing():
     payload = verify_run(ExperimentConfig(model=model, replicates=2, top_m=5))
     assert payload["summary"]["outliers_certified"] == 0
     assert payload["summary"]["max_normalized_det"] is None
+
+
+def test_verify_holds_one_replicate_at_a_time(monkeypatch):
+    # each replicate's pair and oracle are freed before the next one samples
+    alive = []
+    sample, build = sampler.sample_coupled, detverify.DeterminantOracle
+
+    def checked_sample(*args, **kwargs):
+        assert all(ref() is None for ref in alive)
+        pair = sample(*args, **kwargs)
+        alive.append(weakref.ref(pair))
+        return pair
+
+    def recorded_oracle(pair):
+        oracle = build(pair)
+        alive.append(weakref.ref(oracle))
+        return oracle
+
+    monkeypatch.setattr(sampler, "sample_coupled", checked_sample)
+    monkeypatch.setattr(detverify, "DeterminantOracle", recorded_oracle)
+    model = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=3)
+    payload = verify_run(ExperimentConfig(model=model, replicates=3, top_m=3))
+    assert len(payload["replicates"]) == 3
+    assert len(alive) == 6
 
 
 def test_verify_unit_spike_exit_one(monkeypatch, capsys):

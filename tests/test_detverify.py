@@ -57,18 +57,28 @@ def coupled_pair(W, Y, t):
 # -- factorization -----------------------------------------------------------------
 
 
-def test_factor_shapes(spiked_pair):
-    factors = build_factors(spiked_pair)
-    k = spiked_pair.t.shape[0]
-    assert factors.U.shape == (spiked_pair.p, k * k + 2 * k)
-    assert factors.V.shape == (k * k + 2 * k, spiked_pair.p)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_factor_shapes(k):
+    # Delta = B C B' has rank at most 2k: U = B C is p x 2k and V = B' is 2k x p
+    cfg = ModelConfig(p=15, q=20, n=150, spikes=SpikeSpectrum((0.8, 0.5)[:k]), seed=2)
+    oracle = DeterminantOracle(sample_coupled(cfg))
+    factors = oracle.factors()
+    assert factors.U.shape == (15, 2 * k)
+    assert factors.V.shape == (2 * k, 15)
+    assert oracle.reduced_matrix(0.7).shape == (2 * k, 2 * k)
+    assert oracle.limit_matrix(0.7).shape == (2 * k, 2 * k)
 
 
-def test_single_spike_has_no_cross_blocks():
-    cfg = ModelConfig(p=15, q=20, n=150, spikes=SpikeSpectrum((0.7,)), seed=2)
-    factors = build_factors(sample_coupled(cfg))
-    assert factors.U.shape == (15, 3)
-    assert factors.V.shape == (3, 15)
+def test_null_oracle_is_the_identity():
+    cfg = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum(()), seed=9)
+    pair = sample_coupled(cfg)
+    oracle = DeterminantOracle(pair)
+    factors = oracle.factors()
+    assert factors.U.shape == (20, 0) and factors.V.shape == (0, 20)
+    assert np.array_equal(factors.Delta, np.zeros((20, 20)))
+    for lam in (0.6, 0.9):
+        assert oracle.normalized_det(lam) == 1.0
+    assert oracle.limit_matrix(0.7).shape == (0, 0)
 
 
 def test_perturbation_is_symmetric(spiked_pair):
@@ -268,6 +278,20 @@ def test_non_eigenvalue_is_not_a_root(spiked_pair):
     assert abs(finite_n_det(spiked_pair, 0.95)) > 1e-4
 
 
+def test_certificate_separates_roots_from_near_misses():
+    # the normalized determinant vanishes at the outliers but not beside them: a
+    # point 0.01 above each stays well clear of the 1e-6 certification bound
+    cfg = ModelConfig(
+        p=100, q=200, n=1000, spikes=SpikeSpectrum((0.8, 0.7, 0.6, 0.16, 0.15)), seed=42
+    )
+    for i in range(3):
+        pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
+        oracle = DeterminantOracle(pair)
+        for lam in squared_canonical_correlations(pair).lambdas[:3]:
+            assert abs(oracle.normalized_det(float(lam))) < 1e-10
+            assert abs(oracle.normalized_det(float(lam) + 0.01)) > 1e-3
+
+
 def test_zero_coupling_det_is_one():
     pair = zero_coupling_pair()
     for lam in (0.6, 0.75, 0.9):
@@ -290,8 +314,8 @@ def test_reduced_equals_full_determinant(spiked_pair):
 def test_zero_coupling_reduced_matrix_is_identity():
     pair = zero_coupling_pair()
     comparison = DeterminantOracle(pair).mn_comparison(0.7)
-    assert np.array_equal(comparison.finite, np.eye(3))
-    assert np.array_equal(comparison.limit, np.eye(3))
+    assert np.array_equal(comparison.finite, np.eye(2))
+    assert np.array_equal(comparison.limit, np.eye(2))
 
 
 def test_mn_comparison_domain(spiked_pair):
@@ -318,13 +342,15 @@ def test_leading_entry_concentrates():
 def test_cross_spike_entries_concentrate_near_zero():
     z, reps = 0.7, 16
     cfg = ModelConfig(p=100, q=200, n=1000, spikes=SpikeSpectrum((0.8, 0.5)), seed=78)
+    spike0, spike1 = [0, 2], [1, 3]  # spike i owns rows and columns i and k + i
     off = []
     for i in range(reps):
         pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
         comparison = DeterminantOracle(pair).mn_comparison(z)
-        # block coupling spike 1 to spike 2 has zero limit
-        off.append(comparison.finite[0, 3])
-    assert abs(float(np.mean(off))) < 0.05
+        off.append(comparison.finite[np.ix_(spike0, spike1)])
+        off.append(comparison.finite[np.ix_(spike1, spike0)])
+    # the entries coupling spike 0 to spike 1 have zero limit
+    assert np.max(np.abs(np.mean(off, axis=0))) < 0.05
 
 
 def test_entry_scatter_shrinks_with_dimension():
@@ -341,13 +367,17 @@ def test_entry_scatter_shrinks_with_dimension():
 
 
 def test_limit_determinant_factorizes(spiked_pair):
-    # entries below the diagonal do not change the limit determinant
+    # spike i's 2 x 2 block at rows and columns i and k + i carries its scalar factor
     from spikecca import limiting_det_factor
 
     ratios = ratios_from_dims(spiked_pair.p, spiked_pair.q, spiked_pair.n)
     oracle = DeterminantOracle(spiked_pair)
-    z = 0.7
+    z, k = 0.7, oracle.k
+    M = oracle.limit_matrix(z)
     product = 1.0
-    for r in (0.8, 0.5):
-        product *= limiting_det_factor(z, spike_to_t(r), ratios)
-    assert np.linalg.det(oracle.limit_matrix(z)) == pytest.approx(product, rel=1e-12)
+    for i, r in enumerate((0.8, 0.5)):
+        factor = limiting_det_factor(z, spike_to_t(r), ratios)
+        block = M[np.ix_([i, k + i], [i, k + i])]
+        assert np.linalg.det(block) == pytest.approx(factor, rel=1e-12)
+        product *= factor
+    assert np.linalg.det(M) == pytest.approx(product, rel=1e-12)
