@@ -34,7 +34,6 @@ object, not identifiable from the data alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -44,7 +43,7 @@ from .errors import (
     ResolventSingularityError,
     UnsupportedModelError,
 )
-from .model import DimensionRatios, ratios_from_dims
+from .model import ratios_from_dims
 from .rmt import beyond_edge
 from .rmt import f as limit_f
 from .rmt import h as limit_h
@@ -70,11 +69,11 @@ class MnComparison:
     limit: np.ndarray
 
     def max_abs_diff(self) -> float:
-        return float(np.max(np.abs(self.finite - self.limit)))
+        return float(np.max(np.abs(self.finite - self.limit), initial=0.0))
 
 
 class DeterminantOracle:
-    """Workspace caching the null-side pencil and the factors of one data pair.
+    """The null-side pencil and the factors of one data pair, each built once.
 
     ``S_wy`` = A1'Ryy[:, :k]/n (p x k) and ``S_yy`` = Ryy[:, :k]'Ryy[:, :k]/n
     (k x k) hold only the k spiked columns of the cross and Y covariances, the
@@ -84,8 +83,10 @@ class DeterminantOracle:
     (:class:`SingularityError`).  A pair without t is rejected before it is
     factorized.
 
-    Use this class directly when evaluating the determinant or the resolvent
-    at many points; the module-level functions rebuild it per call.
+    The constructor builds the pencil, U, V and the Delta check; every other
+    method reads them.  Use this class directly when evaluating the
+    determinant or the resolvent at many points; :func:`finite_n_det` builds
+    one oracle per call.
     """
 
     def __init__(self, pair: DataPair):
@@ -107,15 +108,8 @@ class DeterminantOracle:
         self.S_yy = R_yk.T @ R_yk / self.n
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
         self.mu, self.vecs = eigh(self.E, self.S_ww)
-        self._factors: PerturbationFactors | None = None
-
-    # -- factorization ----------------------------------------------------
-
-    def factors(self) -> PerturbationFactors:
-        """U and V with Delta = U V, built and checked once per oracle."""
-        if self._factors is not None:
-            return self._factors
-        p, k, t = self.p, self.k, self.t
+        # Delta = B C B' through its rank-2k range, checked against the direct formula
+        p, t = self.p, self.t
         B = np.zeros((p, 2 * k))
         B[:k, :k] = np.eye(k)
         B[:, k:] = self.S_wy
@@ -138,6 +132,9 @@ class DeterminantOracle:
                 f"exceeds {_DELTA_CHECK_TOL:.0e} relative"
             )
         self._factors = PerturbationFactors(U=U, V=V, Delta=delta)
+
+    def factors(self) -> PerturbationFactors:
+        """U and V with Delta = U V, built and checked with the oracle."""
         return self._factors
 
     # -- resolvent and determinant ----------------------------------------
@@ -176,8 +173,9 @@ class DeterminantOracle:
         so spike i lives in the 2 x 2 block at rows and columns i and k + i,
         whose determinant is ``limiting_det_factor(z, t_i)``.
         """
-        fz = limit_f(z, self.ratios)
-        hz = limit_h(z, self.ratios)
+        ratios = ratios_from_dims(self.p, self.q, self.n)
+        fz = limit_f(z, ratios)
+        hz = limit_h(z, ratios)
         t = self.t
         return np.block(
             [
@@ -186,19 +184,10 @@ class DeterminantOracle:
             ]
         )
 
-    @cached_property
-    def ratios(self) -> DimensionRatios:
-        return ratios_from_dims(self.p, self.q, self.n)
-
     def mn_comparison(self, z: float) -> MnComparison:
         """M_n(z) next to its limit M(z), at a real z beyond the bulk edge."""
-        z = beyond_edge(z, self.ratios)
+        z = beyond_edge(z, ratios_from_dims(self.p, self.q, self.n))
         return MnComparison(finite=self.reduced_matrix(z), limit=self.limit_matrix(z))
-
-
-def build_factors(pair: DataPair) -> PerturbationFactors:
-    """Assemble U, V with Delta = U V, checked against the direct formula."""
-    return DeterminantOracle(pair).factors()
 
 
 def finite_n_det(pair: DataPair, lam: float) -> float:

@@ -20,14 +20,16 @@ from .errors import ConfigurationError, DomainError
 
 
 def _caller_stacklevel() -> int:
-    """``warnings.warn`` stack level of the nearest frame outside this module.
+    """``warnings.warn`` stack level of the nearest frame outside this package.
 
     Called from the function that warns (level 1), it lets a warning raised
-    deep inside ``ModelConfig(...)`` or ``ratios_from_dims(...)`` name the
-    caller's line, as a direct ``DimensionRatios(...)`` call does.
+    deep inside any spikecca call name the caller's line, as a direct
+    ``DimensionRatios(...)`` call does, so one call warns from one location.
+    Frames match on ``__package__``, which dataclass-generated methods and
+    ``python -m spikecca.cli`` share with the package's modules.
     """
     level, frame = 1, sys._getframe(1)
-    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
         level, frame = level + 1, frame.f_back
     return level
 

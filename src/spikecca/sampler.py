@@ -58,12 +58,17 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
     R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, and |R|_F bounding the
     largest singular value, success proves the guard passes, with a margin far
     above the rounding of R'R and of the factorization.  Failure proves
-    nothing.  One Cholesky costs a small fraction of the singular values,
-    whose bidiagonal reduction is bound by memory bandwidth.
+    nothing.  The proof is scale-invariant, so it runs on R scaled by the
+    exact power of two that brings max|R| into [1/2, 1): R'R then cannot
+    overflow, and only entries far below its scale can underflow.  One
+    Cholesky costs a small fraction of the singular values, whose bidiagonal
+    reduction is bound by memory bandwidth.
     """
-    c = 100.0 * COND_THRESHOLD * np.linalg.norm(R) ** 2
-    if not (0.0 < c < np.inf):
+    largest = np.max(np.abs(R))
+    if not (0.0 < largest < np.inf):
         return False
+    R = np.ldexp(R, -np.frexp(largest)[1])
+    c = 100.0 * COND_THRESHOLD * np.linalg.norm(R) ** 2
     gram = R.T @ R
     gram[np.diag_indices_from(gram)] -= c
     try:

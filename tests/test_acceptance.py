@@ -245,7 +245,7 @@ def test_criterion_8_determinant_certification(figure_experiment):
     for pair in figure_experiment["pairs"]:
         lambdas = sc.squared_canonical_correlations(pair).lambdas
         oracle = sc.DeterminantOracle(pair)
-        factors = sc.build_factors(pair)
+        factors = oracle.factors()
         for lam in lambdas[:6]:
             if lam > d_right + 0.05:
                 worst_root = max(worst_root, abs(oracle.normalized_det(float(lam))))

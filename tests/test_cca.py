@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -169,6 +170,26 @@ def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
             cleared.append(cond_sxx)
     # well-conditioned blocks skip the singular values; blocks near the threshold never do
     assert cleared and cleared[0] == 1.0 and max(cleared) < 1e8
+
+
+def test_guard_certificate_does_not_depend_on_the_scale():
+    # the certificate runs on R scaled by a power of two, so R'R neither
+    # overflows near 1e160 nor underflows near 1e-160
+    outcomes = []
+    for cond_sxx in (1.0, 1e6, 1e10):
+        R = np.linalg.qr(conditioned_x(cond_sxx).T)[1]
+        outcomes.append(_clearly_nonsingular(R))
+        for e in (530, -530):
+            assert _clearly_nonsingular(np.ldexp(R, e)) == outcomes[-1]
+    assert outcomes == [True, True, False]
+    cfg = ModelConfig(p=50, q=80, n=600, spikes=SpikeSpectrum((0.8, 0.6)), seed=7)
+    pair = sample_coupled(cfg)
+    lambdas = squared_canonical_correlations(pair).lambdas
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e-160):
+            scaled = squared_canonical_correlations(DataPair(X=pair.X * scale, Y=pair.Y))
+            assert np.max(np.abs(scaled.lambdas - lambdas)) < 1e-12
 
 
 def test_dimensions_must_leave_room():

@@ -514,8 +514,9 @@ def test_verify_needs_a_spike(capsys):
     [
         ["limits", "--p", "5", "--q", "5", "--n", "100"],
         ["simulate", "--p", "100", "--q", "100", "--n", "1000"],
+        ["verify", "--p", "40", "--q", "40", "--n", "400", "--spikes", "0.8", "--replicates", "2"],
     ],
-    ids=["limits", "simulate"],
+    ids=["limits", "simulate", "verify"],
 )
 def test_equal_ratios_warn_in_one_line(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -11,7 +11,6 @@ from spikecca import (
     SingularityError,
     SpikeSpectrum,
     UnsupportedModelError,
-    build_factors,
     f,
     finite_n_det,
     ratios_from_dims,
@@ -79,15 +78,18 @@ def test_null_oracle_is_the_identity():
     for lam in (0.6, 0.9):
         assert oracle.normalized_det(lam) == 1.0
     assert oracle.limit_matrix(0.7).shape == (0, 0)
+    comparison = oracle.mn_comparison(0.7)
+    assert comparison.finite.shape == comparison.limit.shape == (0, 0)
+    assert comparison.max_abs_diff() == 0.0
 
 
 def test_perturbation_is_symmetric(spiked_pair):
-    factors = build_factors(spiked_pair)
+    factors = DeterminantOracle(spiked_pair).factors()
     assert np.max(np.abs(factors.Delta - factors.Delta.T)) < 1e-12
 
 
 def test_delta_matches_stored_product(spiked_pair):
-    factors = build_factors(spiked_pair)
+    factors = DeterminantOracle(spiked_pair).factors()
     assert np.array_equal(factors.Delta, factors.U @ factors.V)
 
 
@@ -103,10 +105,10 @@ def test_chi_concentrates_on_squared_strengths():
 def test_factorization_needs_latent():
     pair = DataPair(X=np.ones((3, 10)), Y=np.ones((4, 10)))
     with pytest.raises(UnsupportedModelError):
-        build_factors(pair)
+        DeterminantOracle(pair).factors()
     cfg = ModelConfig(p=5, q=6, n=30, spikes=SpikeSpectrum((0.5,)), seed=4)
     with pytest.raises(UnsupportedModelError):
-        build_factors(sample_general(cfg))
+        DeterminantOracle(sample_general(cfg)).factors()
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -300,7 +302,7 @@ def test_zero_coupling_det_is_one():
 
 def test_reduced_equals_full_determinant(spiked_pair):
     oracle = DeterminantOracle(spiked_pair)
-    factors = build_factors(spiked_pair)
+    factors = oracle.factors()
     for lam in (0.62, 0.7, 0.9):
         phi = oracle.phi(lam)
         full = np.linalg.det(np.eye(spiked_pair.p) + (1.0 - lam) * phi @ factors.Delta)
