@@ -18,13 +18,15 @@ resolvent.  The oracle reads only the blocks Ryy, Ryx and Rxx of the pair's
 cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
 correlations use.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
 Swy Syy^{-1} Syw = E = A1'A1/n and Sww = (A1'A1 + Rxx'Rxx)/n: no n-length
-array is read.  One generalized eigendecomposition E v = mu Sww v of this
-null pencil, normalized so that V' Sww V = I, gives
-Phi(lam) = V diag(1 / (mu - lam)) V' at every lam; the mu are the squared
-canonical correlations of the null pair (W, Y).  This module builds the
-factors, evaluates the resolvent and the reduced determinant, and compares
-the finite-sample matrix M_n(z) = I + (1-z) V Phi(z) U entrywise with its
-deterministic limit, one 2 x 2 block per spike.
+array is read, and a rank-deficient W is rejected as a singular Sww.  One
+generalized eigendecomposition E vecs = Sww vecs diag(mu) of this null
+pencil, with vecs' Sww vecs = I, gives Phi(lam) = vecs diag(1/(mu - lam)) vecs';
+the mu are the squared canonical correlations of the null pair (W, Y).  So
+V Phi(lam) U = (V vecs) diag(1/(mu - lam)) (vecs' U) needs only the
+projections V vecs (2k x p) and vecs' U (p x 2k), formed once.  This module
+builds the factors, evaluates the reduced determinant, and compares
+M_n(z) = I + (1-z) V Phi(z) U entrywise with its deterministic limit, one
+2 x 2 block per spike.
 
 Everything here needs the spike strengths t that a pair drawn by the coupled
 sampler carries (``DataPair.t``): the decomposition is a simulation-time
@@ -47,7 +49,7 @@ from .model import ratios_from_dims
 from .rmt import beyond_edge
 from .rmt import f as limit_f
 from .rmt import h as limit_h
-from .sampler import DataPair
+from .sampler import DataPair, guard_rank
 
 _DELTA_CHECK_TOL = 1e-10
 
@@ -79,14 +81,14 @@ class DeterminantOracle:
     (k x k) hold only the k spiked columns of the cross and Y covariances, the
     only part of them that Delta reads.  Every block, and t, p, q and n, come
     from ``pair.factor``, so the pair needs p < n and q < n
-    (:class:`ConfigurationError`) and nonsingular Sxx and Syy
+    (:class:`ConfigurationError`) and nonsingular Sxx, Syy and then Sww
     (:class:`SingularityError`).  A pair without t is rejected before it is
     factorized.
 
-    The constructor builds the pencil, U, V and the Delta check; every other
-    method reads them.  Use this class directly when evaluating the
-    determinant or the resolvent at many points; :func:`finite_n_det` builds
-    one oracle per call.
+    The constructor builds the pencil, U, V, the Delta check and the
+    projections V vecs and vecs' U; every other method reads them.  Use this
+    class directly when evaluating the determinant at many points;
+    :func:`finite_n_det` builds one oracle per call.
     """
 
     def __init__(self, pair: DataPair):
@@ -101,6 +103,8 @@ class DeterminantOracle:
         R_yk = factor.Ryy[:, :k]
         A = factor.Ryx.copy()
         A[:, :k] -= R_yk * self.t
+        # Sww = [A; Rxx]'[A; Rxx] / n
+        guard_rank("Sww", np.vstack((A, factor.Rxx)))
         gram = A.T @ A
         self.E = gram / self.n
         self.S_ww = (gram + factor.Rxx.T @ factor.Rxx) / self.n
@@ -132,15 +136,17 @@ class DeterminantOracle:
                 f"exceeds {_DELTA_CHECK_TOL:.0e} relative"
             )
         self._factors = PerturbationFactors(U=U, V=V, Delta=delta)
+        self._V_vecs = V @ self.vecs
+        self._vecs_U = self.vecs.T @ U
 
     def factors(self) -> PerturbationFactors:
         """U and V with Delta = U V, built and checked with the oracle."""
         return self._factors
 
-    # -- resolvent and determinant ----------------------------------------
+    # -- determinant ------------------------------------------------------
 
-    def phi(self, lam: float) -> np.ndarray:
-        """Phi(lam) = (E - lam Sww)^{-1} = V diag(1 / (mu - lam)) V'."""
+    def reduced_matrix(self, lam: float) -> np.ndarray:
+        """I + (1 - lam) V Phi(lam) U, read through the projections V vecs and vecs' U."""
         gaps = self.mu - lam
         nearest, farthest = np.min(np.abs(gaps)), np.max(np.abs(gaps))
         if farthest == 0.0 or nearest <= 1e-10 * farthest:
@@ -151,11 +157,7 @@ class DeterminantOracle:
                 f"lam = {lam} is too close to a null-case eigenvalue "
                 f"(condition estimate {cond:.3e})",
             )
-        return (self.vecs / gaps) @ self.vecs.T
-
-    def reduced_matrix(self, lam: float) -> np.ndarray:
-        factors = self.factors()
-        core = factors.V @ self.phi(lam) @ factors.U
+        core = (self._V_vecs / gaps) @ self._vecs_U
         return np.eye(core.shape[0]) + (1.0 - lam) * core
 
     def normalized_det(self, lam: float) -> float:

@@ -12,7 +12,8 @@ square-root factor ell(z) with its companion functions h, f, varrho, the
 scalar factor whose root locates an outlier, and the Stieltjes/R-transform
 stack (a Marchenko-Pastur base transform plus four derived component
 transforms, and the resolvent traces m1, m2) used to cross-check f and varrho
-against an independent derivation.
+against an independent derivation.  Only :func:`bulk_mass` integrates
+numerically, to check the density's normalization.
 
 Square-root branches follow one convention: on the real axis outside the
 support the value is real, with sign fixed by sqrt(...)/z -> 1 as z -> inf;
@@ -30,8 +31,6 @@ from scipy import integrate
 
 from .errors import BelowThresholdError, BranchError, DomainError
 from .model import DimensionRatios
-
-_CDF_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,15 @@ def wachter_density(x: float, ratios: DimensionRatios) -> float:
     return num / (2.0 * math.pi * c_min * x * (1.0 - x))
 
 
-def _cdf_integrand(theta: float, law: WachterLaw, c_min: float) -> float:
-    # Substitution x = d_left + (d_right - d_left) sin^2(theta) removes the
-    # square-root edge singularities; the integrand below is smooth in theta.
-    width = law.d_right - law.d_left
-    x = law.d_left + width * math.sin(theta) ** 2
-    s2 = math.sin(2.0 * theta)
-    return width * width * s2 * s2 / (4.0 * math.pi * c_min * x * (1.0 - x))
-
-
 def wachter_cdf(x: float, ratios: DimensionRatios) -> float:
-    """Bulk distribution function, evaluated by adaptive quadrature."""
+    """Bulk distribution function, in closed form.
+
+    With a = max(d_left, 0) and b = d_right, splitting 1/(x(1-x)) into
+    1/x + 1/(1-x) and substituting x = (a+b)/2 - ((b-a)/2) cos(phi) leaves
+    arctangents of h = tan(phi/2).  sqrt(ab) = |c1 - c2| and
+    sqrt((1-a)(1-b)) = 1 - c1 - c2, so F -> 1 at d_right; atan2 keeps
+    c1 = c2 (a = 0) free of a division by zero.
+    """
     law = wachter_edges(ratios)
     x = float(x)
     if math.isnan(x):
@@ -117,18 +114,11 @@ def wachter_cdf(x: float, ratios: DimensionRatios) -> float:
         return 0.0
     if x >= law.d_right:
         return 1.0
-    frac = (x - law.d_left) / (law.d_right - law.d_left)
-    theta_x = math.asin(math.sqrt(min(frac, 1.0)))
-    c_min = min(ratios.c1, ratios.c2)
-    value, _ = integrate.quad(
-        _cdf_integrand,
-        0.0,
-        theta_x,
-        args=(law, c_min),
-        epsabs=_CDF_ABS_TOL,
-        epsrel=1e-10,
-        limit=200,
-    )
+    a, b = max(law.d_left, 0.0), law.d_right
+    h = math.sqrt(max(x - a, 0.0) / (b - x))
+    ra, rb, sa, sb = math.sqrt(a), math.sqrt(b), math.sqrt(1.0 - a), math.sqrt(1.0 - b)
+    value = math.atan(h) - ra * rb * math.atan2(rb * h, ra) - sa * sb * math.atan2(sb * h, sa)
+    value /= math.pi * min(ratios.c1, ratios.c2)
     return min(max(value, 0.0), 1.0)
 
 
@@ -392,8 +382,8 @@ def m2(z: float, ratios: DimensionRatios) -> float:
 def bulk_mass(ratios: DimensionRatios) -> float:
     """Total mass of the bulk density by weighted adaptive quadrature.
 
-    Independent of the substitution used by :func:`wachter_cdf`: integrates
-    the smooth part of the density against an algebraic sqrt-edge weight.
+    Independent of the closed form of :func:`wachter_cdf`: integrates the
+    smooth part of the density against an algebraic sqrt-edge weight.
     """
     law = wachter_edges(ratios)
     c_min = min(ratios.c1, ratios.c2)

@@ -78,6 +78,16 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
     return True
 
 
+def guard_rank(block: str, R: np.ndarray) -> None:
+    """Raise SingularityError(block) when R'R's condition reaches 1 / COND_THRESHOLD."""
+    if _clearly_nonsingular(R):
+        return
+    s = np.linalg.svd(R, compute_uv=False)
+    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+        cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+        raise SingularityError(block, cond)
+
+
 @dataclass(frozen=True)
 class JointFactor:
     """Guarded joint factor of a pair X (p x n), Y (q x n): the blocks CCA and the oracle read.
@@ -87,8 +97,7 @@ class JointFactor:
     The singular values of ``cosines`` = Qx[:q] are the cosines of the
     principal angles between the row spaces.  The blocks are read-only views
     of R and Qx, not copies.  :meth:`of` needs p < n and q < n; its rank guard
-    checks Sxx on Rx, then Syy on Ryy, against COND_THRESHOLD, reading their
-    singular values unless :func:`_clearly_nonsingular` clears them first.
+    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy.
     """
 
     Ryy: np.ndarray
@@ -107,12 +116,8 @@ class JointFactor:
             raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
         R = np.linalg.qr(np.vstack((Y, X)).T, mode="r")
         Qx, Rx = np.linalg.qr(R[:, q:])
-        for block, factor in (("Sxx", Rx), ("Syy", R[:q, :q])):
-            if not _clearly_nonsingular(factor):
-                s = np.linalg.svd(factor, compute_uv=False)
-                if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
-                    cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-                    raise SingularityError(block, cond)
+        guard_rank("Sxx", Rx)
+        guard_rank("Syy", R[:q, :q])
         R.flags.writeable = False
         Qx.flags.writeable = False
         return cls(R[:q, :q], R[:q, q:], R[q:, q:], Qx[:q], t, p, q, n)

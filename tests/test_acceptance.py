@@ -251,7 +251,7 @@ def test_criterion_8_determinant_certification(figure_experiment):
                 worst_root = max(worst_root, abs(oracle.normalized_det(float(lam))))
                 certified += 1
         for probe in (0.62, 0.75, 0.9):
-            phi = oracle.phi(probe)
+            phi = np.linalg.inv(oracle.E - probe * oracle.S_ww)
             full = np.linalg.det(np.eye(pair.p) + (1 - probe) * phi @ factors.Delta)
             reduced = np.linalg.det(oracle.reduced_matrix(probe))
             worst_rel = max(worst_rel, abs(full - reduced) / abs(full))

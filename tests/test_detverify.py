@@ -114,15 +114,23 @@ def test_factorization_needs_latent():
 # -- resolvent ----------------------------------------------------------------------
 
 
-def test_resolvent_matches_direct_formula(spiked_pair):
-    n = spiked_pair.n
-    W, Y = latent_noise(spiked_pair), spiked_pair.Y
+def latent_resolvent(pair, lam):
+    """(Swy Syy^{-1} Syw - lam Sww)^{-1}, inverted directly from the latent W = X - T Y."""
+    n = pair.n
+    W, Y = latent_noise(pair), pair.Y
     S_wy = W @ Y.T / n
     S_yy = Y @ Y.T / n
     S_ww = W @ W.T / n
+    return np.linalg.inv(S_wy @ np.linalg.solve(S_yy, S_wy.T) - lam * S_ww)
+
+
+def test_resolvent_matches_direct_formula(spiked_pair):
+    oracle = DeterminantOracle(spiked_pair)
+    factors = oracle.factors()
     lam = 0.7
-    direct = np.linalg.inv(S_wy @ np.linalg.solve(S_yy, S_wy.T) - lam * S_ww)
-    assert np.max(np.abs(DeterminantOracle(spiked_pair).phi(lam) - direct)) < 1e-8
+    phi = latent_resolvent(spiked_pair, lam)
+    direct = np.eye(2 * oracle.k) + (1.0 - lam) * factors.V @ phi @ factors.U
+    assert np.max(np.abs(oracle.reduced_matrix(lam) - direct)) < 1e-8
 
 
 def test_projection_split_sums_to_covariance(spiked_pair):
@@ -138,8 +146,9 @@ def test_resolvent_singularity_detected(spiked_pair):
     oracle = DeterminantOracle(spiked_pair)
     # exact eigenvalues of the null-side pencil make the argument singular
     null_eigs = np.linalg.eigvals(np.linalg.solve(oracle.S_ww, oracle.E)).real
-    with pytest.raises(ResolventSingularityError):
-        oracle.phi(float(np.max(null_eigs)))
+    for evaluate in (oracle.reduced_matrix, oracle.normalized_det):
+        with pytest.raises(ResolventSingularityError):
+            evaluate(float(np.max(null_eigs)))
 
 
 def test_wishart_trace_moment():
@@ -165,6 +174,21 @@ def test_rank_deficient_y_is_reported():
         with pytest.raises(SingularityError) as info:
             compute(pair)
         assert info.value.block == "Syy"
+
+
+def test_rank_deficient_noise_is_reported():
+    # a zero row of W makes Sww singular while X and Y stay full rank; the
+    # pencil would certify non-eigenvalues and miss the true root lam_1 = 1
+    cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=12)
+    coupled = sample_coupled(cfg)
+    W = latent_noise(coupled)
+    W[0] = 0.0
+    pair = coupled_pair(W, coupled.Y, coupled.t)
+    assert squared_canonical_correlations(pair).lambdas[0] == pytest.approx(1.0)
+    for compute in (DeterminantOracle, lambda pair: finite_n_det(pair, 0.95)):
+        with pytest.raises(SingularityError) as info:
+            compute(pair)
+        assert info.value.block == "Sww"
 
 
 def test_rank_deficient_x_and_y_report_sxx_first():
@@ -304,7 +328,7 @@ def test_reduced_equals_full_determinant(spiked_pair):
     oracle = DeterminantOracle(spiked_pair)
     factors = oracle.factors()
     for lam in (0.62, 0.7, 0.9):
-        phi = oracle.phi(lam)
+        phi = latent_resolvent(spiked_pair, lam)
         full = np.linalg.det(np.eye(spiked_pair.p) + (1.0 - lam) * phi @ factors.Delta)
         reduced = np.linalg.det(oracle.reduced_matrix(lam))
         assert abs(full - reduced) < 1e-6 * abs(full)

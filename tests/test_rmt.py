@@ -1,8 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.optimize import brentq
 
 from spikecca import (
@@ -117,6 +119,34 @@ def test_cdf_median_round_trip(ratios):
         lambda x: wachter_cdf(x, ratios) - 0.5, law.d_left, law.d_right, xtol=1e-13
     )
     assert abs(wachter_cdf(median, ratios) - 0.5) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(0.1, 0.2), (0.2, 0.1), (0.3, 0.3), (0.2, 0.21), (0.45, 0.5), (0.001, 0.002), (0.05, 0.6)],
+)
+def test_cdf_closed_form_matches_quadrature(c1, c2):
+    # the closed form against an adaptive quadrature of the density, c1 = c2 included
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EqualRatiosWarning)
+        ratios = DimensionRatios(c1, c2)
+    law = wachter_edges(ratios)
+    lo = max(law.d_left, 0.0)
+    for x in np.linspace(law.d_left, law.d_right, 41)[1:-1]:
+        value, _ = integrate.quad(
+            wachter_density, lo, x, args=(ratios,), epsabs=1e-14, epsrel=1e-13, limit=200
+        )
+        assert abs(wachter_cdf(x, ratios) - value) < 1e-10
+
+
+def test_cdf_between_a_rounded_negative_left_edge_and_zero():
+    # at c1 = c2 the left edge 0 can round below zero; the law has no mass there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EqualRatiosWarning)
+        ratios = DimensionRatios(0.0032421210605302654, 0.0032421210605302654)
+    d_left = wachter_edges(ratios).d_left
+    assert d_left < 0.0
+    assert wachter_cdf(d_left / 2, ratios) == 0.0
 
 
 def test_cdf_midpoint_regression(ratios):
