@@ -1,8 +1,10 @@
 """Sample covariances and squared sample canonical correlations.
 
-The stable path never inverts a covariance block.  It reads the pair's
-cached :class:`~spikecca.sampler.JointFactor`: one R-only Householder QR
-[Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] and the small QR [Ryx; Rxx] = Qx Rx give
+The stable path never inverts a covariance block.  It reads only a
+:class:`~spikecca.sampler.JointFactor`, a pair's cached one or one built by
+the streamed coupled sampler: the R factor of [Y' X'] = Q [[Ryy, Ryx],
+[0, Rxx]], folded in one block of samples at a time, and the small QR
+[Ryx; Rxx] = Qx Rx give
 orthonormal row-space bases Q[:, :q] of Y and Q Qx of X, so the cosines of
 the principal angles between the row spaces are the singular values of the
 factor's cosine block Qx[:q]; their squares are the eigenvalues of the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError, SpectrumRangeError
-from .sampler import COND_THRESHOLD, DataPair
+from .sampler import COND_THRESHOLD, DataPair, JointFactor
 
 #: numerical slack allowed outside [0, 1] before clamping
 RANGE_SLACK = 1e-10
@@ -76,15 +78,16 @@ def _clamp_spectrum(lam: np.ndarray, method: str) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def squared_canonical_correlations(pair: DataPair) -> EigenReport:
+def squared_canonical_correlations(pair: DataPair | JointFactor) -> EigenReport:
     """Squared sample canonical correlations by the projection method.
 
-    The squared singular values of ``pair.factor.cosines``.  The factor
-    requires p < n and q < n and numerically nonsingular covariance blocks.
-    Values are clamped to [0, 1] after a small-slack check; a violation beyond
-    the slack raises instead of silently clamping.
+    The squared singular values of the factor's ``cosines``: ``pair.factor``
+    for a pair, or the given :class:`JointFactor`.  A pair's factor requires
+    p < n and q < n and numerically nonsingular covariance blocks.  Values are
+    clamped to [0, 1] after a small-slack check; a violation beyond the slack
+    raises instead of silently clamping.
     """
-    factor = pair.factor
+    factor = pair if isinstance(pair, JointFactor) else pair.factor
     sigma = np.linalg.svd(factor.cosines, compute_uv=False)
     lam = _clamp_spectrum(sigma * sigma, "stable")
     return EigenReport(lambdas=lam, p=factor.p, q=factor.q, n=factor.n, method="stable")

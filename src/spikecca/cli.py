@@ -127,20 +127,21 @@ def theory_block(ratios: DimensionRatios, spikes: SpikeSpectrum) -> dict:
 
 def run_replicate(
     model: ModelConfig, top_m: int, index: int
-) -> tuple[sampler.DataPair, np.ndarray]:
-    """One replicate under the derived per-replicate stream: its pair and top eigenvalues.
+) -> tuple[sampler.JointFactor, np.ndarray]:
+    """One replicate under the derived per-replicate stream: its joint factor and top eigenvalues.
 
-    Uses the coupled sampler; a spectrum containing a unit spike falls back to
-    the joint-covariance sampler, which realizes the deterministic unit
-    eigenvalue directly; that pair carries no spike strengths t.
+    Streams the coupled sampler into the factor, so X and Y are never held; a
+    spectrum containing a unit spike falls back to the joint-covariance
+    sampler, which realizes the deterministic unit eigenvalue directly; that
+    pair's factor carries no spike strengths t.
     """
     rng = sampler.replicate_rng(model.seed, index)
     if any(r == 1.0 for r in model.spikes.r):
-        pair = sampler.sample_general(model, rng)
+        factor = sampler.sample_general(model, rng).factor
     else:
-        pair = sampler.sample_coupled(model, rng)
-    report = cca.squared_canonical_correlations(pair)
-    return pair, report.lambdas[:top_m]
+        factor = sampler.sample_coupled_factor(model, rng)
+    report = cca.squared_canonical_correlations(factor)
+    return factor, report.lambdas[:top_m]
 
 
 def _outliers(lambdas: np.ndarray, threshold: float) -> list[tuple[int, float]]:
@@ -234,11 +235,11 @@ def _verify_replicate(
 ) -> dict:
     """One replicate's row of the verify payload.
 
-    The pair and its oracle live only in this call, so a run holds one
-    replicate's working set at a time.
+    The joint factor and its oracle live only in this call, so a run holds
+    one replicate's working set at a time.
     """
-    pair, top = run_replicate(model, top_m, index)
-    oracle = detverify.DeterminantOracle(pair)
+    factor, top = run_replicate(model, top_m, index)
+    oracle = detverify.DeterminantOracle(factor)
     outliers = [
         {"lambda": lam, "normalized_det": oracle.normalized_det(lam)}
         for _, lam in _outliers(top, threshold)

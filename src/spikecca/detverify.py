@@ -16,7 +16,8 @@ the 2k x 2k form of det(I_p + (1 - lam) Phi(lam) Delta) by Sylvester's
 identity, where Phi(lam) = (Swy Syy^{-1} Syw - lam Sww)^{-1} is the null-side
 resolvent.  The oracle reads only the blocks Ryy, Ryx and Rxx of the pair's
 cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
-correlations use.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
+correlations use, or a factor the streamed coupled sampler built without
+the pair.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
 Swy Syy^{-1} Syw = E = A1'A1/n and Sww = (A1'A1 + Rxx'Rxx)/n: no n-length
 array is read, and a rank-deficient W is rejected as a singular Sww.  One
 generalized eigendecomposition E vecs = Sww vecs diag(mu) of this null
@@ -49,7 +50,7 @@ from .model import ratios_from_dims
 from .rmt import beyond_edge
 from .rmt import f as limit_f
 from .rmt import h as limit_h
-from .sampler import DataPair, guard_rank
+from .sampler import DataPair, JointFactor, guard_rank
 
 _DELTA_CHECK_TOL = 1e-10
 
@@ -80,10 +81,10 @@ class DeterminantOracle:
     ``S_wy`` = A1'Ryy[:, :k]/n (p x k) and ``S_yy`` = Ryy[:, :k]'Ryy[:, :k]/n
     (k x k) hold only the k spiked columns of the cross and Y covariances, the
     only part of them that Delta reads.  Every block, and t, p, q and n, come
-    from ``pair.factor``, so the pair needs p < n and q < n
-    (:class:`ConfigurationError`) and nonsingular Sxx, Syy and then Sww
-    (:class:`SingularityError`).  A pair without t is rejected before it is
-    factorized.
+    from ``pair.factor``, or from the given :class:`JointFactor`, so a pair
+    needs p < n and q < n (:class:`ConfigurationError`) and nonsingular Sxx,
+    Syy and then Sww (:class:`SingularityError`).  A pair or factor without t
+    is rejected before a pair is factorized.
 
     The constructor builds the pencil, U, V, the Delta check and the
     projections V vecs and vecs' U; every other method reads them.  Use this
@@ -91,13 +92,13 @@ class DeterminantOracle:
     :func:`finite_n_det` builds one oracle per call.
     """
 
-    def __init__(self, pair: DataPair):
+    def __init__(self, pair: DataPair | JointFactor):
         if pair.t is None:
             raise UnsupportedModelError(
                 "determinant verification needs a pair that carries its spike "
                 "strengths t, as the coupled sampler draws it"
             )
-        factor = pair.factor
+        factor = pair if isinstance(pair, JointFactor) else pair.factor
         self.t, self.p, self.q, self.n = factor.t, factor.p, factor.q, factor.n
         k = self.k = self.t.shape[0]
         R_yk = factor.Ryy[:, :k]

@@ -13,7 +13,8 @@ scalar factor whose root locates an outlier, and the Stieltjes/R-transform
 stack (a Marchenko-Pastur base transform plus four derived component
 transforms, and the resolvent traces m1, m2) used to cross-check f and varrho
 against an independent derivation.  Only :func:`bulk_mass` integrates
-numerically, to check the density's normalization.
+numerically, to check the density's normalization; it imports
+``scipy.integrate`` itself, so importing this module does not.
 
 Square-root branches follow one convention: on the real axis outside the
 support the value is real, with sign fixed by sqrt(...)/z -> 1 as z -> inf;
@@ -26,8 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .errors import BelowThresholdError, BranchError, DomainError
 from .model import DimensionRatios
@@ -385,6 +384,8 @@ def bulk_mass(ratios: DimensionRatios) -> float:
     Independent of the closed form of :func:`wachter_cdf`: integrates the
     smooth part of the density against an algebraic sqrt-edge weight.
     """
+    from scipy import integrate  # about 0.2 s to import; no CLI command needs it
+
     law = wachter_edges(ratios)
     c_min = min(ratios.c1, ratios.c2)
 

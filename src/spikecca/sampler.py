@@ -6,7 +6,8 @@ rectangular coupling T; the pair carries T's k nonzero entries, the spike
 strengths t, so the finite-sample perturbation identities can be checked.
 The general sampler applies the block square root of the joint covariance to
 two independent normal matrices and also supports unit spikes (perfect
-correlation).
+correlation).  :func:`sample_coupled_factor` builds the coupled pair's joint
+factor without ever holding X or Y.
 
 Randomness contract: a PCG64 bit generator seeded through a SeedSequence.
 Per-replicate streams use the root seed with the replicate index as spawn
@@ -14,7 +15,11 @@ key, so parallel replicates are independent and order-insensitive.  Normal
 variates are produced by the inverse distribution function applied to the
 generator's 53-bit uniforms (exact zeros, probability 2^-53 per draw, are
 lifted to 2^-55 so the map is total).  Fixing the transform keeps sampled
-matrices bitwise reproducible for a given seed.
+matrices bitwise reproducible for a given seed.  Entry (i, j) of X (p x n) is
+draw i n + j of the pair's stream, and Y's entries follow at p n.  The
+streamed factor draws each block of samples by seeking the stream with
+``PCG64.advance``, so its blocks hold the same bits, and leaves the generator
+where :func:`sample_coupled` leaves it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dtpqrt
 from scipy.special import ndtri
 
 from .errors import ConfigurationError, SingularityError, UnsupportedModelError
@@ -32,6 +38,12 @@ _MIN_UNIFORM = 2.0**-55
 
 #: relative eigenvalue floor below which a covariance block counts as singular
 COND_THRESHOLD = 1e-10
+
+#: samples per block folded into the joint R factor; R's last bits depend on
+#: it, so it is fixed rather than tuned per machine
+CHUNK = 1000
+#: block size of dtpqrt's compact WY form; R's last bits depend on it too
+NB = 32
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -88,16 +100,42 @@ def guard_rank(block: str, R: np.ndarray) -> None:
         raise SingularityError(block, cond)
 
 
+def _fold(width: int, n: int, fill) -> np.ndarray:
+    """R factor of an n x width matrix, folded in one block of samples at a time (TSQR).
+
+    ``fill(block, start)`` writes samples start .. start + c - 1 into
+    ``block``, width x c in C order with one variable per row.  Its transpose,
+    the c x width Fortran-order block, goes through LAPACK's ``dtpqrt``, which
+    updates the upper triangular R in place, starting from R = 0 (Demmel,
+    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012).  Only R and one
+    block of CHUNK samples are held.  R is min(n, width) x width.
+    """
+    R = np.zeros((width, width), order="F")
+    nb = min(NB, width)
+    buffer = np.empty(width * min(CHUNK, n))
+    for start in range(0, n, CHUNK):
+        block = buffer[: width * min(CHUNK, n - start)].reshape(width, -1)
+        fill(block, start)
+        R, _, _, info = dtpqrt(0, nb, R, block.T, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt rejected argument {-info}")
+    # rows past n hold only rounding: R of n samples has n rows
+    return R if n >= width else R[:n].copy()
+
+
 @dataclass(frozen=True)
 class JointFactor:
     """Guarded joint factor of a pair X (p x n), Y (q x n): the blocks CCA and the oracle read.
 
-    [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]] by one R-only Householder QR (Q is
-    never formed), and [Ryx; Rxx] = Qx Rx; Rxx is (n - q) x p when p + q > n.
-    The singular values of ``cosines`` = Qx[:q] are the cosines of the
-    principal angles between the row spaces.  The blocks are read-only views
-    of R and Qx, not copies.  :meth:`of` needs p < n and q < n; its rank guard
-    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy.
+    [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], with R folded in from blocks of CHUNK
+    samples (Q is never formed), and [Ryx; Rxx] = Qx Rx; Rxx is
+    (n - q) x p when p + q > n.  The singular values of ``cosines`` =
+    Qx[:q] are the cosines of the principal angles between the row spaces.
+    The blocks are read-only views of R and Qx, not copies.  Both builders,
+    :meth:`of` for a pair and :func:`sample_coupled_factor` for a streamed
+    coupled pair, finish in one shared step whose rank guard
+    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy; :meth:`of` needs
+    p < n and q < n, which a :class:`ModelConfig` already ensures.
     """
 
     Ryy: np.ndarray
@@ -114,7 +152,17 @@ class JointFactor:
         (p, n), q = X.shape, Y.shape[0]
         if not (p < n and q < n):
             raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
-        R = np.linalg.qr(np.vstack((Y, X)).T, mode="r")
+
+        def fill(block, start):
+            stop = start + block.shape[1]
+            block[:q] = Y[:, start:stop]
+            block[q:] = X[:, start:stop]
+
+        return cls._guarded(_fold(q + p, n, fill), t, p, q, n)
+
+    @classmethod
+    def _guarded(cls, R: np.ndarray, t, p: int, q: int, n: int) -> JointFactor:
+        """The factor of R: the small QR, the rank guard, then read-only views."""
         Qx, Rx = np.linalg.qr(R[:, q:])
         guard_rank("Sxx", Rx)
         guard_rank("Syy", R[:q, :q])
@@ -182,6 +230,45 @@ class DataPair:
         return JointFactor.of(self.X, self.Y, self.t)
 
 
+def _coupled_strengths(config: ModelConfig) -> np.ndarray:
+    """The spike strengths t of a coupled pair; a unit spike has none."""
+    if any(r == 1.0 for r in config.spikes.r):
+        raise UnsupportedModelError(
+            "the coupled construction has no finite strength for a unit spike; "
+            "sample_general handles r = 1 (the top eigenvalue is then 1 "
+            "deterministically)"
+        )
+    t = np.array([spike_to_t(r) for r in config.spikes.r])
+    t.flags.writeable = False
+    return t
+
+
+def _draw_coupled(rng: np.random.Generator, t: np.ndarray, p: int, n: int, start: int,
+                  out: np.ndarray) -> None:
+    """Samples start .. start + c - 1 of a coupled pair into ``out``, (q + p) x c, rows [Y; X].
+
+    Enter with rng at the pair's first draw; it leaves just past the pair's
+    last.  Each row's slice is drawn at its place in the stream (X's rows,
+    then Y's, n draws apart), the normal transform is applied, and X's first
+    k rows gain t_i Y[i].
+    """
+    rows, c = out.shape
+    q = rows - p
+    bits = rng.bit_generator
+    if start:
+        bits.advance(start)
+    for row in (*range(q, rows), *range(q)):
+        rng.random(out=out[row])
+        if c < n:
+            bits.advance(n - c)
+    if start:
+        bits.advance(-start)
+    np.maximum(out, _MIN_UNIFORM, out=out)
+    ndtri(out, out=out)
+    k = t.shape[0]
+    out[q : q + k] += t[:, None] * out[:k]
+
+
 def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
     """Draw a pair via the coupled construction; the pair carries the strengths t.
 
@@ -190,21 +277,37 @@ def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) 
     and its first k rows gain t_i Y[i] in place.  The population squared
     canonical correlations of this construction are exactly the spikes.
     Unit spikes are rejected here; use :func:`sample_general` for those.
+    X and Y are C-contiguous row views of one (q + p) x n array.
     """
-    if any(r == 1.0 for r in config.spikes.r):
-        raise UnsupportedModelError(
-            "the coupled construction has no finite strength for a unit spike; "
-            "sample_general handles r = 1 (the top eigenvalue is then 1 "
-            "deterministically)"
-        )
+    t = _coupled_strengths(config)
     if rng is None:
         rng = seeded_rng(config.seed)
-    X = standard_normal_matrix(rng, config.p, config.n)
-    Y = standard_normal_matrix(rng, config.q, config.n)
-    t = np.array([spike_to_t(r) for r in config.spikes.r])
-    k = t.shape[0]
-    X[:k] += t[:, None] * Y[:k]
-    return DataPair(X=X, Y=Y, t=t)
+    samples = np.empty((config.q + config.p, config.n))
+    _draw_coupled(rng, t, config.p, config.n, 0, samples)
+    return DataPair(X=samples[config.q :], Y=samples[: config.q], t=t)
+
+
+def sample_coupled_factor(
+    config: ModelConfig, rng: np.random.Generator | None = None
+) -> JointFactor:
+    """The :class:`JointFactor` of the pair :func:`sample_coupled` draws, without the pair.
+
+    Each block of CHUNK samples is drawn by seeking the stream, coupled,
+    folded into R and dropped, so X and Y are never held.  R and the cosines
+    equal ``sample_coupled(config, rng).factor``'s bitwise, and rng ends
+    where :func:`sample_coupled` leaves it.
+    """
+    t = _coupled_strengths(config)
+    if rng is None:
+        rng = seeded_rng(config.seed)
+    p, q, n = config.p, config.q, config.n
+
+    def fill(block, start):
+        if start:  # back to the pair's first draw
+            rng.bit_generator.advance(-(p + q) * n)
+        _draw_coupled(rng, t, p, n, start, block)
+
+    return JointFactor._guarded(_fold(q + p, n, fill), t, p, q, n)
 
 
 def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:

@@ -1,8 +1,14 @@
 """The CLI runs every loaded OpenBLAS at one thread and gives back the counts it found."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import spikecca
 from spikecca import blas, cca
 from spikecca.cli import main
 
@@ -100,3 +106,40 @@ def test_pinned_only_when_every_openblas_has_controls(controls, monkeypatch, tmp
         assert pinned is False
         assert counts(controls) == [1] * len(controls)
     assert counts(controls) == [2] * len(controls)
+
+
+# in a fresh process: import the package, run a CLI verify, then pin; last,
+# import scipy.integrate to see whether it would have mapped another OpenBLAS
+FRESH_VERIFY = """
+import json, os, sys
+import spikecca
+from spikecca import blas
+from spikecca.cli import main
+code = main(["verify", "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8",
+             "--seed", "3", "--out", os.devnull])
+integrate_loaded = "scipy.integrate" in sys.modules
+found = blas.loaded_openblas()
+with blas.single_thread() as pinned:
+    during = [control[0]() for control in blas.thread_controls()]
+import scipy.integrate
+print(json.dumps({"code": code, "integrate_loaded": integrate_loaded, "found": found,
+                  "pinned": pinned, "during": during, "after": blas.loaded_openblas()}))
+"""
+
+
+def test_cli_pins_every_openblas_without_importing_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spikecca.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_VERIFY], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0
+    # only rmt.bulk_mass imports scipy.integrate, and no CLI command calls it
+    assert seen["integrate_loaded"] is False
+    if not seen["found"]:
+        pytest.skip("no OpenBLAS is loaded")
+    # dtpqrt and eigh keep scipy's OpenBLAS mapped, so the pin already holds it
+    assert seen["found"] == seen["after"]
+    assert seen["pinned"] is True and seen["during"] == [1] * len(seen["found"])

@@ -17,6 +17,7 @@ from spikecca import (
     replicate_rng,
     sample_coupled,
     sample_general,
+    sampler,
     seeded_rng,
     spike_to_t,
     squared_canonical_correlations,
@@ -259,10 +260,16 @@ def test_projection_split_independence_proxy():
 
 
 def test_pair_is_factorized_once(monkeypatch):
-    cfg = ModelConfig(p=30, q=50, n=300, spikes=SpikeSpectrum((0.8, 0.6)), seed=5)
+    # a ragged last block: n is not a multiple of the block size
+    n = 2 * sampler.CHUNK + 300
+    cfg = ModelConfig(p=30, q=50, n=n, spikes=SpikeSpectrum((0.8, 0.6)), seed=5)
     pair = sample_coupled(cfg)
-    qr_shapes, svd_shapes = [], []
-    qr, svd = np.linalg.qr, np.linalg.svd
+    qr_shapes, svd_shapes, folds = [], [], []
+    qr, svd, tpqrt = np.linalg.qr, np.linalg.svd, sampler.dtpqrt
+
+    def counting_tpqrt(l, nb, a, b, **kwargs):
+        folds.append((a.ctypes.data, a.shape, b.shape))
+        return tpqrt(l, nb, a, b, **kwargs)
 
     def counting_qr(a, *args, **kwargs):
         qr_shapes.append(np.shape(a))
@@ -274,15 +281,20 @@ def test_pair_is_factorized_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(sampler, "dtpqrt", counting_tpqrt)
     report = squared_canonical_correlations(pair)
     oracle = DeterminantOracle(pair)
     for lam in report.lambdas[:2]:
         oracle.normalized_det(float(lam))
     oracle.reduced_matrix(0.8)
-    # one QR of the stacked samples [Y' X'] is the only factorization of n-length data
-    assert [shape for shape in qr_shapes if pair.n in shape] == [(pair.n, pair.q + pair.p)]
-    assert pair.X.T.shape not in qr_shapes and pair.Y.T.shape not in qr_shapes
-    assert not any(pair.n in shape for shape in svd_shapes)
+    # one fold of [Y' X'] into a single R, one block of samples per call, is
+    # the only factorization of n-length data
+    width = pair.q + pair.p
+    assert len(folds) == -(-n // sampler.CHUNK)
+    assert len({data for data, _, _ in folds}) == 1
+    assert all(a == (width, width) and b[1] == width for _, a, b in folds)
+    assert sum(b[0] for _, _, b in folds) == n
+    assert not any(n in shape for shape in qr_shapes + svd_shapes)
     assert oracle.factors() is oracle.factors()
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spikecca import (
     standard_normal_matrix,
     subtract_means,
 )
+from spikecca.sampler import CHUNK, JointFactor, sample_coupled_factor
 
 
 def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
@@ -127,9 +129,30 @@ def test_coupled_seeding_contract():
     assert np.array_equal(pair.X[:k], raw_x[:k] + t[:, None] * pair.Y[:k])
 
 
+@pytest.mark.parametrize(
+    "p, q, n",
+    [(7, 11, 500), (50, 80, CHUNK), (30, 40, 2 * CHUNK + 1), (50, 80, 120)],
+    ids=["one_short_block", "one_full_block", "ragged_last_block", "p_plus_q_above_n"],
+)
+def test_streamed_factor_equals_the_sampled_pairs(p, q, n):
+    # ModelConfig needs p + q < n; the sampler reads only these fields
+    cfg = SimpleNamespace(p=p, q=q, n=n, spikes=SpikeSpectrum((0.8, 0.6)), seed=0)
+    rng_pair, rng_streamed = replicate_rng(41, 2), replicate_rng(41, 2)
+    pair = sample_coupled(cfg, rng_pair)
+    streamed = sample_coupled_factor(cfg, rng_streamed)
+    factor = JointFactor.of(pair.X, pair.Y, pair.t)
+    assert np.array_equal(streamed.Ryy.base, factor.Ryy.base)
+    assert np.array_equal(streamed.cosines, factor.cosines)
+    assert np.array_equal(streamed.t, pair.t) and not streamed.t.flags.writeable
+    assert (streamed.p, streamed.q, streamed.n) == (p, q, n)
+    assert rng_streamed.bit_generator.state == rng_pair.bit_generator.state
+
+
 def test_coupled_rejects_unit_spike():
     with pytest.raises(UnsupportedModelError):
         sample_coupled(config(spikes=(1.0, 0.5)))
+    with pytest.raises(UnsupportedModelError):
+        sample_coupled_factor(config(spikes=(1.0, 0.5)))
 
 
 def test_null_case_cross_covariance_small():
@@ -278,6 +301,7 @@ def test_joint_factor_blocks_are_read_only_views(p, q, n):
     R = factor.Ryy.base
     assert R.shape == (rows, q + p)
     assert factor.Ryx.base is R and factor.Rxx.base is R
+    assert not np.tril(R, -1).any()
     for block in (factor.Ryy, factor.Ryx, factor.Rxx, factor.cosines):
         assert not block.flags.writeable and not block.flags.owndata
 
