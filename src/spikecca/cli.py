@@ -130,16 +130,10 @@ def run_replicate(
 ) -> tuple[sampler.JointFactor, np.ndarray]:
     """One replicate under the derived per-replicate stream: its joint factor and top eigenvalues.
 
-    Streams the coupled sampler into the factor, so X and Y are never held; a
-    spectrum containing a unit spike falls back to the joint-covariance
-    sampler, which realizes the deterministic unit eigenvalue directly; that
-    pair's factor carries no spike strengths t.
+    ``sampler.sample_factor`` streams the pair into the factor, so X and Y are never held,
+    and picks the construction from the spectrum; both are drawn and transformed alike.
     """
-    rng = sampler.replicate_rng(model.seed, index)
-    if any(r == 1.0 for r in model.spikes.r):
-        factor = sampler.sample_general(model, rng).factor
-    else:
-        factor = sampler.sample_coupled_factor(model, rng)
+    factor = sampler.sample_factor(model, sampler.replicate_rng(model.seed, index))
     report = cca.squared_canonical_correlations(factor)
     return factor, report.lambdas[:top_m]
 

@@ -6,20 +6,20 @@ rectangular coupling T; the pair carries T's k nonzero entries, the spike
 strengths t, so the finite-sample perturbation identities can be checked.
 The general sampler applies the block square root of the joint covariance to
 two independent normal matrices and also supports unit spikes (perfect
-correlation).  :func:`sample_coupled_factor` builds the coupled pair's joint
-factor without ever holding X or Y.
+correlation).  :func:`sample_factor` builds a pair's joint factor without
+ever holding X or Y, through the coupled construction unless a spike is 1.
 
 Randomness contract: a PCG64 bit generator seeded through a SeedSequence.
 Per-replicate streams use the root seed with the replicate index as spawn
-key, so parallel replicates are independent and order-insensitive.  Normal
-variates are produced by the inverse distribution function applied to the
-generator's 53-bit uniforms (exact zeros, probability 2^-53 per draw, are
-lifted to 2^-55 so the map is total).  Fixing the transform keeps sampled
-matrices bitwise reproducible for a given seed.  Entry (i, j) of X (p x n) is
-draw i n + j of the pair's stream, and Y's entries follow at p n.  The
-streamed factor draws each block of samples by seeking the stream with
-``PCG64.advance``, so its blocks hold the same bits, and leaves the generator
-where :func:`sample_coupled` leaves it.
+key, so parallel replicates are independent and order-insensitive.  Both
+constructions draw in one order, entry (i, j) of X (p x n) being draw i n + j
+of the pair's stream and Y's entries following at p n, and one transform:
+the inverse normal distribution function of the generator's 53-bit uniforms,
+with exact zeros (probability 2^-53) lifted to 2^-55 so the map is total.
+One routine draws a block of samples, seeking the stream with
+``PCG64.advance``; each construction then mixes it in place, sample by
+sample.  A sampled pair is the one-block case, so the streamed factor's
+blocks hold the same bits and the generator ends where the sampler leaves it.
 """
 
 from __future__ import annotations
@@ -58,9 +58,27 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 def standard_normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Matrix of i.i.d. standard normals via the inverse distribution function."""
-    u = rng.random((rows, cols))
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    return ndtri(u, out=u)
+    out = np.empty((rows, cols))
+    _draw(rng, rows, cols, 0, out)
+    return out
+
+
+def _draw(rng: np.random.Generator, p: int, n: int, start: int, out: np.ndarray) -> None:
+    """Standard normals of samples start .. start + c - 1 into ``out``, (q + p) x c, rows [Y; X].
+
+    Enter with rng ``start`` draws past the pair's first; it leaves just past
+    the last.  Each row's slice is drawn at its place in the stream, then transformed.
+    """
+    rows, c = out.shape
+    bits = rng.bit_generator
+    for row in (*range(rows - p, rows), *range(rows - p)):
+        rng.random(out=out[row])
+        if c < n:
+            bits.advance(n - c)
+    if start:
+        bits.advance(-start)
+    np.maximum(out, _MIN_UNIFORM, out=out)
+    ndtri(out, out=out)
 
 
 def _clearly_nonsingular(R: np.ndarray) -> bool:
@@ -132,8 +150,8 @@ class JointFactor:
     (n - q) x p when p + q > n.  The singular values of ``cosines`` =
     Qx[:q] are the cosines of the principal angles between the row spaces.
     The blocks are read-only views of R and Qx, not copies.  Both builders,
-    :meth:`of` for a pair and :func:`sample_coupled_factor` for a streamed
-    coupled pair, finish in one shared step whose rank guard
+    :meth:`of` for a pair and :func:`sample_factor` for a streamed
+    sampled pair, finish in one shared step whose rank guard
     (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy; :meth:`of` needs
     p < n and q < n, which a :class:`ModelConfig` already ensures.
     """
@@ -230,43 +248,46 @@ class DataPair:
         return JointFactor.of(self.X, self.Y, self.t)
 
 
-def _coupled_strengths(config: ModelConfig) -> np.ndarray:
-    """The spike strengths t of a coupled pair; a unit spike has none."""
-    if any(r == 1.0 for r in config.spikes.r):
+def _coupled(config: ModelConfig):
+    """Strengths t and in-place block mix of the coupled construction: X[:k] += t Y[:k]."""
+    if 1.0 in config.spikes.r:
         raise UnsupportedModelError(
-            "the coupled construction has no finite strength for a unit spike; "
-            "sample_general handles r = 1 (the top eigenvalue is then 1 "
-            "deterministically)"
+            "the coupled construction has no finite strength for a unit spike; sample_general "
+            "handles r = 1 (the top eigenvalue is then 1 deterministically)"
         )
     t = np.array([spike_to_t(r) for r in config.spikes.r])
     t.flags.writeable = False
-    return t
+    q, k = config.q, t.shape[0]
+
+    def mix(block):
+        block[q : q + k] += t[:, None] * block[:k]
+
+    return t, mix
 
 
-def _draw_coupled(rng: np.random.Generator, t: np.ndarray, p: int, n: int, start: int,
-                  out: np.ndarray) -> None:
-    """Samples start .. start + c - 1 of a coupled pair into ``out``, (q + p) x c, rows [Y; X].
+def _general(config: ModelConfig):
+    """No strengths t, and the joint-covariance mix of row i < k with weights (alpha_i, beta_i)."""
+    alpha, beta = np.reshape([mixing_weights(r) for r in config.spikes.r], (-1, 2)).T[:, :, None]
+    q, k = config.q, config.spikes.k
 
-    Enter with rng at the pair's first draw; it leaves just past the pair's
-    last.  Each row's slice is drawn at its place in the stream (X's rows,
-    then Y's, n draws apart), the normal transform is applied, and X's first
-    k rows gain t_i Y[i].
-    """
-    rows, c = out.shape
-    q = rows - p
-    bits = rng.bit_generator
-    if start:
-        bits.advance(start)
-    for row in (*range(q, rows), *range(q)):
-        rng.random(out=out[row])
-        if c < n:
-            bits.advance(n - c)
-    if start:
-        bits.advance(-start)
-    np.maximum(out, _MIN_UNIFORM, out=out)
-    ndtri(out, out=out)
-    k = t.shape[0]
-    out[q : q + k] += t[:, None] * out[:k]
+    def mix(block):
+        x, y = block[q : q + k], block[:k]
+        w = x.copy()
+        x *= alpha
+        x += beta * y
+        y *= alpha
+        y += beta * w
+
+    return None, mix
+
+
+def _sample(config: ModelConfig, rng: np.random.Generator | None, construction) -> DataPair:
+    """A construction's pair: one block of all n samples, drawn and mixed."""
+    t, mix = construction(config)
+    samples = np.empty((config.q + config.p, config.n))
+    _draw(seeded_rng(config.seed) if rng is None else rng, config.p, config.n, 0, samples)
+    mix(samples)
+    return DataPair(X=samples[config.q :], Y=samples[: config.q], t=t)
 
 
 def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
@@ -279,57 +300,42 @@ def sample_coupled(config: ModelConfig, rng: np.random.Generator | None = None) 
     Unit spikes are rejected here; use :func:`sample_general` for those.
     X and Y are C-contiguous row views of one (q + p) x n array.
     """
-    t = _coupled_strengths(config)
-    if rng is None:
-        rng = seeded_rng(config.seed)
-    samples = np.empty((config.q + config.p, config.n))
-    _draw_coupled(rng, t, config.p, config.n, 0, samples)
-    return DataPair(X=samples[config.q :], Y=samples[: config.q], t=t)
-
-
-def sample_coupled_factor(
-    config: ModelConfig, rng: np.random.Generator | None = None
-) -> JointFactor:
-    """The :class:`JointFactor` of the pair :func:`sample_coupled` draws, without the pair.
-
-    Each block of CHUNK samples is drawn by seeking the stream, coupled,
-    folded into R and dropped, so X and Y are never held.  R and the cosines
-    equal ``sample_coupled(config, rng).factor``'s bitwise, and rng ends
-    where :func:`sample_coupled` leaves it.
-    """
-    t = _coupled_strengths(config)
-    if rng is None:
-        rng = seeded_rng(config.seed)
-    p, q, n = config.p, config.q, config.n
-
-    def fill(block, start):
-        if start:  # back to the pair's first draw
-            rng.bit_generator.advance(-(p + q) * n)
-        _draw_coupled(rng, t, p, n, start, block)
-
-    return JointFactor._guarded(_fold(q + p, n, fill), t, p, q, n)
+    return _sample(config, rng, _coupled)
 
 
 def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) -> DataPair:
     """Draw a pair through the block square root of the joint covariance.
 
-    Stacks two independent standard normal matrices and mixes row i < k of
-    each with weights (alpha_i, beta_i); rows beyond k pass through.  Unit
-    spikes are supported: alpha = beta = 1/sqrt(2) makes the corresponding
-    rows of X and Y identical, so the top sample eigenvalue is exactly 1.
-    The pair carries no spike strengths (``t = None``).
+    Row i < k of two independent standard normal matrices is mixed in place
+    with weights (alpha_i, beta_i); rows beyond k pass through.  A unit spike
+    has alpha = beta = 1/sqrt(2): rows i of X and Y are identical, so the top
+    sample eigenvalue is exactly 1.  The pair carries no strengths (t = None);
+    X and Y are C-contiguous row views of one (q + p) x n array.
     """
+    return _sample(config, rng, _general)
+
+
+def sample_factor(config: ModelConfig, rng: np.random.Generator | None = None) -> JointFactor:
+    """The :class:`JointFactor` of a sampled pair, without the pair.
+
+    The pair is :func:`sample_coupled`'s if every spike is below 1, else
+    :func:`sample_general`'s (no strengths t).  Each block of CHUNK samples
+    is drawn, mixed, folded into R and dropped, so X and Y are never held.
+    R and the cosines equal that pair's factor bitwise, and rng ends where
+    its sampler leaves it.
+    """
+    t, mix = (_general if 1.0 in config.spikes.r else _coupled)(config)
     if rng is None:
         rng = seeded_rng(config.seed)
-    X = standard_normal_matrix(rng, config.p, config.n)
-    Y = standard_normal_matrix(rng, config.q, config.n)
-    k = config.spikes.k
-    if k:
-        alpha, beta = np.array([mixing_weights(r) for r in config.spikes.r]).T
-        W1 = X[:k].copy()
-        X[:k] = alpha[:, None] * W1 + beta[:, None] * Y[:k]
-        Y[:k] = beta[:, None] * W1 + alpha[:, None] * Y[:k]
-    return DataPair(X=X, Y=Y)
+    p, q, n = config.p, config.q, config.n
+
+    def fill(block, start):
+        if start:  # from just past the pair's last draw to draw start
+            rng.bit_generator.advance(start - (p + q) * n)
+        _draw(rng, p, n, start, block)
+        mix(block)
+
+    return JointFactor._guarded(_fold(q + p, n, fill), t, p, q, n)
 
 
 def subtract_means(pair: DataPair) -> DataPair:

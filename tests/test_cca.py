@@ -300,8 +300,8 @@ def test_spectrum_range_slack(monkeypatch):
 def test_spectrum_range_error_exits_three(monkeypatch, capsys):
     pair = random_pair(seeded_rng(16), p=4, q=5, n=40, spikes=(0.9,))
     beyond = factor_with_top_cosine(pair, 1.5)
-    # simulate streams each coupled replicate straight into its joint factor
-    monkeypatch.setattr(sampler, "sample_coupled_factor", lambda *args, **kwargs: beyond)
+    # simulate streams each replicate straight into its joint factor
+    monkeypatch.setattr(sampler, "sample_factor", lambda *args, **kwargs: beyond)
     code = main(["simulate", "--p", "4", "--q", "5", "--n", "40", "--spikes", "0.9"])
     captured = capsys.readouterr()
     assert code == 3

@@ -167,7 +167,7 @@ def test_several_outputs_need_out(tmp_path, monkeypatch, capsys, command):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before rejecting the outputs")
 
-    monkeypatch.setattr(sampler, "sample_coupled_factor", no_sampling)
+    monkeypatch.setattr(sampler, "sample_factor", no_sampling)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(
         json.dumps({"p": 30, "q": 60, "n": 300, "spikes": [0.8], "outputs": ["csv", "json"]})
@@ -268,7 +268,7 @@ def test_simulate_oversized_dimension_exit_one_before_sampling(monkeypatch, caps
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an unindexable matrix")
 
-    monkeypatch.setattr(sampler, "sample_coupled_factor", no_sampling)
+    monkeypatch.setattr(sampler, "sample_factor", no_sampling)
     code, out, err = run_cli(capsys, ["simulate", "--p", "1", "--q", "1", "--n", str(10**20)])
     assert code == 1
     assert err.startswith("error:") and "array limit" in err and out == ""
@@ -280,7 +280,7 @@ def test_out_of_memory_exit_three(monkeypatch, capsys):
     def no_memory(config, rng):
         raise MemoryError(f"Unable to allocate a {config.p}x{config.n} array")
 
-    monkeypatch.setattr(sampler, "sample_coupled_factor", no_memory)
+    monkeypatch.setattr(sampler, "sample_factor", no_memory)
     code, out, err = run_cli(capsys, simulate_args())
     assert code == 3
     assert err == "out of memory: Unable to allocate a 30x300 array\n" and out == ""
@@ -465,7 +465,7 @@ def test_verify_subcritical_spikes_certify_nothing():
 def test_verify_holds_one_replicate_at_a_time(monkeypatch):
     # each replicate's joint factor and oracle are freed before the next one samples
     alive = []
-    sample, build = sampler.sample_coupled_factor, detverify.DeterminantOracle
+    sample, build = sampler.sample_factor, detverify.DeterminantOracle
 
     def checked_sample(*args, **kwargs):
         assert all(ref() is None for ref in alive)
@@ -478,7 +478,7 @@ def test_verify_holds_one_replicate_at_a_time(monkeypatch):
         alive.append(weakref.ref(oracle))
         return oracle
 
-    monkeypatch.setattr(sampler, "sample_coupled_factor", checked_sample)
+    monkeypatch.setattr(sampler, "sample_factor", checked_sample)
     monkeypatch.setattr(detverify, "DeterminantOracle", recorded_oracle)
     model = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=3)
     payload = verify_run(ExperimentConfig(model=model, replicates=3, top_m=3))
@@ -486,19 +486,24 @@ def test_verify_holds_one_replicate_at_a_time(monkeypatch):
     assert len(alive) == 6
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_coupled_replicates_never_hold_the_samples(monkeypatch, capsys, command):
-    # each coupled replicate streams its samples into the joint factor
+@pytest.mark.parametrize(
+    "command, spikes",
+    [("simulate", "0.8,0.5"), ("verify", "0.8,0.5"), ("simulate", "1.0,0.5")],
+    ids=["simulate", "verify", "simulate_unit_spike"],
+)
+def test_coupled_replicates_never_hold_the_samples(monkeypatch, capsys, command, spikes):
+    # each replicate, a unit-spike one too, streams its samples into the joint factor
     def no_samples(*args, **kwargs):
         raise AssertionError("built an n-length sample matrix")
 
     monkeypatch.setattr(sampler, "sample_coupled", no_samples)
+    monkeypatch.setattr(sampler, "sample_general", no_samples)
     monkeypatch.setattr(sampler, "standard_normal_matrix", no_samples)
     monkeypatch.setattr(sampler.DataPair, "__post_init__", no_samples)
     code, out, err = run_cli(
         capsys,
         [command, "--p", "20", "--q", "30", "--n", str(sampler.CHUNK + 200),
-         "--spikes", "0.8,0.5", "--seed", "3", "--replicates", "2"],
+         "--spikes", spikes, "--seed", "3", "--replicates", "2"],
     )
     assert (code, err) == (0, "")
     assert len(json.loads(out)["replicates"]) == 2
@@ -509,6 +514,7 @@ def test_verify_unit_spike_exit_one(monkeypatch, capsys):
         raise AssertionError("verify sampled before rejecting the unit spike")
 
     monkeypatch.setattr(sampler, "sample_general", no_sampling)
+    monkeypatch.setattr(sampler, "sample_factor", no_sampling)
     code, _, err = run_cli(
         capsys, ["verify", "--p", "20", "--q", "30", "--n", "200", "--spikes", "1.0,0.5"]
     )

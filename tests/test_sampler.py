@@ -20,7 +20,7 @@ from spikecca import (
     standard_normal_matrix,
     subtract_means,
 )
-from spikecca.sampler import CHUNK, JointFactor, sample_coupled_factor
+from spikecca.sampler import CHUNK, JointFactor, sample_factor
 
 
 def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
@@ -129,21 +129,38 @@ def test_coupled_seeding_contract():
     assert np.array_equal(pair.X[:k], raw_x[:k] + t[:, None] * pair.Y[:k])
 
 
+STREAMED_SHAPES = {
+    "one_short_block": (7, 11, 500),
+    "one_full_block": (50, 80, CHUNK),
+    "ragged_last_block": (30, 40, 2 * CHUNK + 1),
+    "p_plus_q_above_n": (50, 80, 120),
+}
+
+
 @pytest.mark.parametrize(
-    "p, q, n",
-    [(7, 11, 500), (50, 80, CHUNK), (30, 40, 2 * CHUNK + 1), (50, 80, 120)],
-    ids=["one_short_block", "one_full_block", "ragged_last_block", "p_plus_q_above_n"],
+    "p, q, n, spikes, sample",
+    [
+        pytest.param(*shape, spikes, sample, id=name + suffix)
+        for suffix, spikes, sample in [
+            ("", (0.8, 0.6), sample_coupled),
+            ("_unit_spike", (1.0, 0.5), sample_general),
+        ]
+        for name, shape in STREAMED_SHAPES.items()
+    ],
 )
-def test_streamed_factor_equals_the_sampled_pairs(p, q, n):
+def test_streamed_factor_equals_the_sampled_pairs(p, q, n, spikes, sample):
     # ModelConfig needs p + q < n; the sampler reads only these fields
-    cfg = SimpleNamespace(p=p, q=q, n=n, spikes=SpikeSpectrum((0.8, 0.6)), seed=0)
+    cfg = SimpleNamespace(p=p, q=q, n=n, spikes=SpikeSpectrum(spikes), seed=0)
     rng_pair, rng_streamed = replicate_rng(41, 2), replicate_rng(41, 2)
-    pair = sample_coupled(cfg, rng_pair)
-    streamed = sample_coupled_factor(cfg, rng_streamed)
+    pair = sample(cfg, rng_pair)
+    streamed = sample_factor(cfg, rng_streamed)
     factor = JointFactor.of(pair.X, pair.Y, pair.t)
     assert np.array_equal(streamed.Ryy.base, factor.Ryy.base)
     assert np.array_equal(streamed.cosines, factor.cosines)
-    assert np.array_equal(streamed.t, pair.t) and not streamed.t.flags.writeable
+    if pair.t is None:
+        assert streamed.t is None
+    else:
+        assert np.array_equal(streamed.t, pair.t) and not streamed.t.flags.writeable
     assert (streamed.p, streamed.q, streamed.n) == (p, q, n)
     assert rng_streamed.bit_generator.state == rng_pair.bit_generator.state
 
@@ -151,8 +168,6 @@ def test_streamed_factor_equals_the_sampled_pairs(p, q, n):
 def test_coupled_rejects_unit_spike():
     with pytest.raises(UnsupportedModelError):
         sample_coupled(config(spikes=(1.0, 0.5)))
-    with pytest.raises(UnsupportedModelError):
-        sample_coupled_factor(config(spikes=(1.0, 0.5)))
 
 
 def test_null_case_cross_covariance_small():
