@@ -1,17 +1,17 @@
 """Sample covariances and squared sample canonical correlations.
 
 The stable path never inverts a covariance block.  It reads only a
-:class:`~spikecca.sampler.JointFactor`, a pair's cached one or one built by
-the streamed coupled sampler: the R factor of [Y' X'] = Q [[Ryy, Ryx],
+:class:`~spikecca.sampler.JointFactor`, a pair's cached one or one streamed
+by :func:`~spikecca.sampler.sample_factor` under either construction (coupled,
+or joint-covariance for unit spikes): the R factor of [Y' X'] = Q [[Ryy, Ryx],
 [0, Rxx]], folded in one block of samples at a time, and the small QR
-[Ryx; Rxx] = Qx Rx give
-orthonormal row-space bases Q[:, :q] of Y and Q Qx of X, so the cosines of
-the principal angles between the row spaces are the singular values of the
-factor's cosine block Qx[:q]; their squares are the eigenvalues of the
-canonical correlation matrix (Bjorck and Golub, "Numerical methods for
-computing angles between linear subspaces", Math. Comp. 1973).  A direct
-brute-force eigensolve of the textbook matrix product is kept as an oracle
-for small problems.
+[Ryx; Rxx] = Qx Rx give orthonormal row-space bases Q[:, :q] of Y and Q Qx
+of X, so the cosines of the principal angles between the row spaces are
+the singular values of the factor's cosine block Qx[:q]; their squares are
+the eigenvalues of the canonical correlation matrix (Bjorck and Golub,
+"Numerical methods for computing angles between linear subspaces", Math.
+Comp. 1973).  A direct brute-force eigensolve of the textbook matrix product
+is kept as an oracle for small problems.
 """
 
 from __future__ import annotations
@@ -37,18 +37,13 @@ class SampleCov:
     Sxx: np.ndarray
     Syy: np.ndarray
     Sxy: np.ndarray
-    divisor: int
 
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Sorted squared sample canonical correlations with shape metadata."""
+    """Sorted squared sample canonical correlations."""
 
     lambdas: np.ndarray
-    p: int
-    q: int
-    n: int
-    method: str
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
@@ -65,7 +60,6 @@ def sample_covariances(pair: DataPair) -> SampleCov:
         Sxx=pair.X @ pair.X.T / n,
         Syy=pair.Y @ pair.Y.T / n,
         Sxy=pair.X @ pair.Y.T / n,
-        divisor=n,
     )
 
 
@@ -90,7 +84,7 @@ def squared_canonical_correlations(pair: DataPair | JointFactor) -> EigenReport:
     factor = pair if isinstance(pair, JointFactor) else pair.factor
     sigma = np.linalg.svd(factor.cosines, compute_uv=False)
     lam = _clamp_spectrum(sigma * sigma, "stable")
-    return EigenReport(lambdas=lam, p=factor.p, q=factor.q, n=factor.n, method="stable")
+    return EigenReport(lambdas=lam)
 
 
 def brute_force_ccs(pair: DataPair) -> EigenReport:
@@ -115,7 +109,7 @@ def brute_force_ccs(pair: DataPair) -> EigenReport:
         M = sxx_inv @ cov.Sxy @ syy_inv @ cov.Sxy.T
     eigs = np.sort(np.linalg.eigvals(M).real)[::-1]
     lam = _clamp_spectrum(eigs, "brute-force")
-    return EigenReport(lambdas=lam, p=pair.p, q=pair.q, n=pair.n, method="brute-force")
+    return EigenReport(lambdas=lam)
 
 
 def empirical_cdf(report: EigenReport, x: float) -> float:

@@ -358,10 +358,14 @@ def _parse_spikes(text: str) -> list[float]:
 def load_matrix(path: str) -> np.ndarray:
     """Load a matrix from CSV (rows = variables, columns = samples).
 
-    A first line containing any non-numeric token is treated as a header.
+    The file is UTF-8 text; a byte-order mark is dropped.  A first line
+    containing any non-numeric token is treated as a header.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            lines = [line for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"matrix file {path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ConfigurationError(f"matrix file {path} is empty")
     try:
@@ -383,10 +387,10 @@ _EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init and 
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")

@@ -146,11 +146,12 @@ class ModelConfig:
             v = getattr(self, name)
             if type(v) is not int or v <= 0:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-        # numpy indexes an array's bytes with a Py_ssize_t; a larger sample
-        # matrix would fail inside the sampler, with a traceback
-        if max(self.p, self.q) * self.n * 8 > sys.maxsize:
+        # numpy indexes an array's bytes with a Py_ssize_t.  The one-block
+        # samplers' (p + q) x n buffer is the largest array a model needs: it
+        # bounds R and every streamed block, as p + q < n
+        if (self.p + self.q) * self.n * 8 > sys.maxsize:
             raise ConfigurationError(
-                f"a {max(self.p, self.q)}×{self.n} float64 sample matrix exceeds "
+                f"a {self.p + self.q}×{self.n} float64 sample block exceeds "
                 f"numpy's {sys.maxsize}-byte array limit"
             )
         object.__setattr__(self, "ratios", ratios_from_dims(self.p, self.q, self.n))

@@ -36,7 +36,6 @@ from .model import DimensionRatios
 class WachterLaw:
     """Support edges of the bulk law for given dimension ratios."""
 
-    ratios: DimensionRatios
     d_left: float
     d_right: float
 
@@ -59,7 +58,7 @@ def wachter_edges(ratios: DimensionRatios) -> WachterLaw:
     c1, c2 = ratios.c1, ratios.c2
     base = c1 + c2 - 2.0 * c1 * c2
     cross = 2.0 * _cross_term(ratios)
-    return WachterLaw(ratios=ratios, d_left=base - cross, d_right=base + cross)
+    return WachterLaw(d_left=base - cross, d_right=base + cross)
 
 
 def beyond_edge(z: float, ratios: DimensionRatios) -> float:

@@ -66,11 +66,14 @@ def standard_normal_matrix(rng: np.random.Generator, rows: int, cols: int) -> np
 def _draw(rng: np.random.Generator, p: int, n: int, start: int, out: np.ndarray) -> None:
     """Standard normals of samples start .. start + c - 1 into ``out``, (q + p) x c, rows [Y; X].
 
-    Enter with rng ``start`` draws past the pair's first; it leaves just past
-    the last.  Each row's slice is drawn at its place in the stream, then transformed.
+    Enter with rng at the pair's first draw when start is 0, else just past its
+    last, where the previous block left it; leave just past the last.  Each
+    row's slice is drawn at its place in the stream, then transformed.
     """
     rows, c = out.shape
     bits = rng.bit_generator
+    if start:
+        bits.advance(start - rows * n)
     for row in (*range(rows - p, rows), *range(rows - p)):
         rng.random(out=out[row])
         if c < n:
@@ -166,7 +169,7 @@ class JointFactor:
     n: int
 
     @classmethod
-    def of(cls, X: np.ndarray, Y: np.ndarray, t: np.ndarray | None = None) -> JointFactor:
+    def of(cls, X: np.ndarray, Y: np.ndarray, t: np.ndarray | None) -> JointFactor:
         (p, n), q = X.shape, Y.shape[0]
         if not (p < n and q < n):
             raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
@@ -315,7 +318,7 @@ def sample_general(config: ModelConfig, rng: np.random.Generator | None = None) 
     return _sample(config, rng, _general)
 
 
-def sample_factor(config: ModelConfig, rng: np.random.Generator | None = None) -> JointFactor:
+def sample_factor(config: ModelConfig, rng: np.random.Generator) -> JointFactor:
     """The :class:`JointFactor` of a sampled pair, without the pair.
 
     The pair is :func:`sample_coupled`'s if every spike is below 1, else
@@ -325,13 +328,9 @@ def sample_factor(config: ModelConfig, rng: np.random.Generator | None = None) -
     its sampler leaves it.
     """
     t, mix = (_general if 1.0 in config.spikes.r else _coupled)(config)
-    if rng is None:
-        rng = seeded_rng(config.seed)
     p, q, n = config.p, config.q, config.n
 
     def fill(block, start):
-        if start:  # from just past the pair's last draw to draw start
-            rng.bit_generator.advance(start - (p + q) * n)
         _draw(rng, p, n, start, block)
         mix(block)
 

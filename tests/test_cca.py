@@ -48,7 +48,6 @@ def test_identical_views_share_covariances():
     cov = sample_covariances(pair)
     assert np.array_equal(cov.Sxx, cov.Syy)
     assert np.array_equal(cov.Sxx, cov.Sxy)
-    assert cov.divisor == 30
 
 
 def test_hand_computed_covariances():
@@ -109,7 +108,6 @@ def test_null_top_eigenvalue_near_bulk_edge():
     report = squared_canonical_correlations(pair)
     assert abs(report.lambdas[0] - 0.5) < 0.05
     assert len(report.lambdas) == 100
-    assert report.method == "stable"
 
 
 def test_rank_deficient_block_reported():
@@ -206,7 +204,6 @@ def test_brute_force_identical_views():
     X = standard_normal_matrix(seeded_rng(9), 4, 30)
     report = brute_force_ccs(DataPair(X=X, Y=X))
     assert np.allclose(report.lambdas, 1.0, atol=1e-8)
-    assert report.method == "brute-force"
 
 
 def test_brute_force_scale_cap():
@@ -313,14 +310,14 @@ def test_spectrum_range_error_exits_three(monkeypatch, capsys):
 
 
 def test_empirical_cdf_boundaries():
-    report = EigenReport(lambdas=np.array([0.9, 0.5, 0.1]), p=3, q=5, n=10, method="stable")
+    report = EigenReport(lambdas=np.array([0.9, 0.5, 0.1]))
     assert empirical_cdf(report, 1.0) == 1.0
     assert empirical_cdf(report, 1.5) == 1.0
     assert empirical_cdf(report, -0.1) == 0.0
 
 
 def test_empirical_cdf_median_of_odd_count():
-    report = EigenReport(lambdas=np.array([0.9, 0.5, 0.1]), p=3, q=5, n=10, method="stable")
+    report = EigenReport(lambdas=np.array([0.9, 0.5, 0.1]))
     assert empirical_cdf(report, 0.5) == pytest.approx(2.0 / 3.0)
 
 

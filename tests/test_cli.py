@@ -269,9 +269,11 @@ def test_simulate_oversized_dimension_exit_one_before_sampling(monkeypatch, caps
         raise AssertionError("sampled an unindexable matrix")
 
     monkeypatch.setattr(sampler, "sample_factor", no_sampling)
-    code, out, err = run_cli(capsys, ["simulate", "--p", "1", "--q", "1", "--n", str(10**20)])
-    assert code == 1
-    assert err.startswith("error:") and "array limit" in err and out == ""
+    # the second keeps max(p, q) * n * 8 within the limit but not (p + q) * n * 8
+    for p, q, n in ((1, 1, 10**20), (536870912, 536870913, 1073741826)):
+        code, out, err = run_cli(capsys, ["simulate", "--p", str(p), "--q", str(q), "--n", str(n)])
+        assert code == 1
+        assert err.startswith("error:") and "array limit" in err and out == ""
 
 
 def test_out_of_memory_exit_three(monkeypatch, capsys):
@@ -417,6 +419,46 @@ def test_lapack_failure_exit_three(monkeypatch, capsys):
     code, _, err = run_cli(capsys, simulate_args())
     assert code == 3
     assert "SVD did not converge" in err
+
+
+def test_estimate_drops_a_byte_order_mark(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((20, 400)), rng.standard_normal((30, 400))
+    X[0] += 2 * Y[0]
+    x_path, y_path = write_pair(tmp_path, SimpleNamespace(X=X, Y=Y))
+    plain = run_cli(capsys, ["estimate", "--x", x_path, "--y", y_path])
+    bom_path = tmp_path / "x_bom.csv"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "x.csv").read_bytes())
+    marked = run_cli(capsys, ["estimate", "--x", str(bom_path), "--y", y_path])
+    assert marked == plain
+    assert plain[0] == 0 and json.loads(plain[1])["p"] == 20
+
+
+@pytest.mark.parametrize("kind", ["matrix", "config"])
+def test_undecodable_input_exit_one(tmp_path, capsys, kind):
+    path = tmp_path / "input"
+    if kind == "matrix":
+        path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        argv = ["estimate", "--x", str(path), "--y", str(path)]
+    else:
+        path.write_bytes(b'{"p": 5\xff}')
+        argv = ["simulate", "--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+
+
+def test_estimate_rejects_p_plus_q_at_least_n_before_folding(tmp_path, monkeypatch, capsys):
+    def no_fold(*args, **kwargs):
+        raise AssertionError("folded a pair with p + q >= n")
+
+    monkeypatch.setattr(sampler, "_fold", no_fold)
+    rng = np.random.default_rng(1)
+    pair = SimpleNamespace(X=rng.standard_normal((30, 60)), Y=rng.standard_normal((40, 60)))
+    x_path, y_path = write_pair(tmp_path, pair)
+    code, out, err = run_cli(capsys, ["estimate", "--x", x_path, "--y", y_path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "p + q < n" in err
 
 
 def test_load_matrix_rejects_ragged(tmp_path):
