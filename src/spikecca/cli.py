@@ -358,8 +358,9 @@ def _parse_spikes(text: str) -> list[float]:
 def load_matrix(path: str) -> np.ndarray:
     """Load a matrix from CSV (rows = variables, columns = samples).
 
-    The file is UTF-8 text; a byte-order mark is dropped.  A first line
-    containing any non-numeric token is treated as a header.
+    The file is UTF-8 text; a byte-order mark is dropped.  A first line none
+    of whose comma-separated fields is a number is a header; any other first
+    line is data, so a malformed field there is an error, not a header.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -368,9 +369,13 @@ def load_matrix(path: str) -> np.ndarray:
         raise ConfigurationError(f"matrix file {path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ConfigurationError(f"matrix file {path} is empty")
-    try:
-        [float(tok) for tok in lines[0].split(",")]
-    except ValueError:
+    for tok in lines[0].split(","):
+        try:
+            float(tok)
+            break
+        except ValueError:
+            pass
+    else:
         lines = lines[1:]
     if not lines:
         raise ConfigurationError(f"matrix file {path} has a header but no data")

@@ -150,7 +150,7 @@ class DeterminantOracle:
         """I + (1 - lam) V Phi(lam) U, read through the projections V vecs and vecs' U."""
         gaps = self.mu - lam
         nearest, farthest = np.min(np.abs(gaps)), np.max(np.abs(gaps))
-        if farthest == 0.0 or nearest <= 1e-10 * farthest:
+        if nearest <= 1e-10 * farthest:
             cond = np.inf if nearest == 0.0 else farthest / nearest
             raise ResolventSingularityError(
                 "resolvent argument",

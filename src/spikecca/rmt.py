@@ -153,7 +153,8 @@ def gamma_inverse(lam: float, ratios: DimensionRatios) -> float:
     Writing u = 1/t^2 turns gamma(r) = lam into the quadratic
     c1 c2 u^2 + (c1 + c2 - lam) u + (1 - lam) = 0.  The outlier map is
     strictly decreasing in u on [0, 1/t_c^2), so the qualifying root is the
-    one in that interval; it is the smaller of the two (both are positive),
+    one in that interval: for lam in (d_right, 1] both roots are positive and
+    straddle 1/t_c^2 (a double root at lam = d_right), so it is the smaller,
     computed stably via the product of roots.  Then r = 1 / (1 + u).
     """
     lam = float(lam)
@@ -171,12 +172,7 @@ def gamma_inverse(lam: float, ratios: DimensionRatios) -> float:
     if disc < 0.0:
         disc = 0.0
     u_large = ((lam - c1 - c2) + math.sqrt(disc)) / (2.0 * a)
-    u_small = (1.0 - lam) / (a * u_large)
-    u_crit = 1.0 / critical_threshold(ratios).t_c ** 2
-    # Interval test for the decreasing branch; the two roots straddle u_crit,
-    # so this selects the smaller one (up to rounding right at the edge).
-    u = u_small if u_small < u_crit else u_large
-    return 1.0 / (1.0 + u)
+    return 1.0 / (1.0 + (1.0 - lam) / (a * u_large))
 
 
 def _edge_sqrt(z, lo: float, hi: float):

@@ -16,10 +16,10 @@ constructions draw in one order, entry (i, j) of X (p x n) being draw i n + j
 of the pair's stream and Y's entries following at p n, and one transform:
 the inverse normal distribution function of the generator's 53-bit uniforms,
 with exact zeros (probability 2^-53) lifted to 2^-55 so the map is total.
-One routine draws a block of samples, seeking the stream with
-``PCG64.advance``; each construction then mixes it in place, sample by
-sample.  A sampled pair is the one-block case, so the streamed factor's
-blocks hold the same bits and the generator ends where the sampler leaves it.
+Each construction is one fill: the one routine that draws a block of samples,
+seeking the stream with ``PCG64.advance``, then its in-place mix.  A sampled
+pair is that fill of one block; the streamed factor folds it, so its blocks
+hold the same bits and the generator ends where the sampler leaves it.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class DataPair:
         return JointFactor.of(self.X, self.Y, self.t)
 
 
-def _coupled(config: ModelConfig):
-    """Strengths t and in-place block mix of the coupled construction: X[:k] += t Y[:k]."""
+def _coupled(config: ModelConfig, rng: np.random.Generator):
+    """Strengths t and the coupled construction's fill: drawn blocks gain X[:k] += t Y[:k]."""
     if 1.0 in config.spikes.r:
         raise UnsupportedModelError(
             "the coupled construction has no finite strength for a unit spike; sample_general "
@@ -260,20 +260,22 @@ def _coupled(config: ModelConfig):
         )
     t = np.array([spike_to_t(r) for r in config.spikes.r])
     t.flags.writeable = False
-    q, k = config.q, t.shape[0]
+    p, q, n, k = config.p, config.q, config.n, t.shape[0]
 
-    def mix(block):
+    def fill(block, start):
+        _draw(rng, p, n, start, block)
         block[q : q + k] += t[:, None] * block[:k]
 
-    return t, mix
+    return t, fill
 
 
-def _general(config: ModelConfig):
-    """No strengths t, and the joint-covariance mix of row i < k with weights (alpha_i, beta_i)."""
+def _general(config: ModelConfig, rng: np.random.Generator):
+    """No strengths t, and a fill mixing drawn row i < k with weights (alpha_i, beta_i)."""
     alpha, beta = np.reshape([mixing_weights(r) for r in config.spikes.r], (-1, 2)).T[:, :, None]
-    q, k = config.q, config.spikes.k
+    p, q, n, k = config.p, config.q, config.n, config.spikes.k
 
-    def mix(block):
+    def fill(block, start):
+        _draw(rng, p, n, start, block)
         x, y = block[q : q + k], block[:k]
         w = x.copy()
         x *= alpha
@@ -281,15 +283,14 @@ def _general(config: ModelConfig):
         y *= alpha
         y += beta * w
 
-    return None, mix
+    return None, fill
 
 
 def _sample(config: ModelConfig, rng: np.random.Generator | None, construction) -> DataPair:
-    """A construction's pair: one block of all n samples, drawn and mixed."""
-    t, mix = construction(config)
+    """A construction's pair: its fill (the one draw, then its mix) of one block of n samples."""
+    t, fill = construction(config, seeded_rng(config.seed) if rng is None else rng)
     samples = np.empty((config.q + config.p, config.n))
-    _draw(seeded_rng(config.seed) if rng is None else rng, config.p, config.n, 0, samples)
-    mix(samples)
+    fill(samples, 0)
     return DataPair(X=samples[config.q :], Y=samples[: config.q], t=t)
 
 
@@ -327,13 +328,8 @@ def sample_factor(config: ModelConfig, rng: np.random.Generator) -> JointFactor:
     R and the cosines equal that pair's factor bitwise, and rng ends where
     its sampler leaves it.
     """
-    t, mix = (_general if 1.0 in config.spikes.r else _coupled)(config)
+    t, fill = (_general if 1.0 in config.spikes.r else _coupled)(config, rng)
     p, q, n = config.p, config.q, config.n
-
-    def fill(block, start):
-        _draw(rng, p, n, start, block)
-        mix(block)
-
     return JointFactor._guarded(_fold(q + p, n, fill), t, p, q, n)
 
 

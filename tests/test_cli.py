@@ -82,9 +82,10 @@ def test_limits_unit_spike_flagged_deterministic(capsys):
 
 
 def test_limits_requires_ratios(capsys):
-    code, _, err = run_cli(capsys, ["limits", "--spikes", "0.5"])
-    assert code == 1
-    assert "c1" in err
+    for argv in (["limits", "--spikes", "0.5"], ["limits", "--c1", "0.1"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "c1" in err
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_simulate_csv_and_json_carry_identical_numbers(tmp_path, capsys):
     cfg_path.write_text(
         json.dumps(
             {
-                "p": 30, "q": 60, "n": 300, "spikes": [0.8], "seed": 5,
+                "p": 30, "q": 60, "n": 300, "spikes": [0.8, 0.1], "seed": 5,
                 "replicates": 2, "top_m": 3, "outputs": ["json", "csv"],
             }
         )
@@ -157,6 +158,10 @@ def test_simulate_csv_and_json_carry_identical_numbers(tmp_path, capsys):
         assert got_key == key
         if isinstance(value, float):
             assert float(got_value) == value
+        if value is None:
+            assert got_value == ""
+    # the subcritical spike (r_c = 1/6) has no gamma: JSON null, an empty CSV cell
+    assert "theory.spikes.1.gamma," in csv_lines
     # number-for-number identity also via the renderer
     assert payload_to_csv(payload) == (tmp_path / "run.csv").read_text()
 
@@ -434,11 +439,13 @@ def test_estimate_drops_a_byte_order_mark(tmp_path, capsys):
     assert plain[0] == 0 and json.loads(plain[1])["p"] == 20
 
 
-@pytest.mark.parametrize("kind", ["matrix", "config"])
+@pytest.mark.parametrize("kind", ["matrix", "config", "matrix_first_row"])
 def test_undecodable_input_exit_one(tmp_path, capsys, kind):
     path = tmp_path / "input"
-    if kind == "matrix":
-        path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    if kind.startswith("matrix"):
+        # a first row with a numeric field is data, not a header to drop
+        text = b"1,2.o,3\n4,5,6\n" if kind == "matrix_first_row" else b"\xff\xfe1,2\n3,4\n"
+        path.write_bytes(text)
         argv = ["estimate", "--x", str(path), "--y", str(path)]
     else:
         path.write_bytes(b'{"p": 5\xff}')
@@ -446,6 +453,24 @@ def test_undecodable_input_exit_one(tmp_path, capsys, kind):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--p", "10", "--q", "20", "--n", "100", "--spikes", "0.5,"], "spike list"),
+        (["simulate", "--config", "{config}"], "must hold a JSON object"),
+        (["simulate", "--seed", "1"], "missing required dimensions"),
+    ],
+    ids=["trailing-comma-spikes", "config-not-an-object", "no-dimensions"],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, argv, message):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    argv = [arg.format(config=config) for arg in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_estimate_rejects_p_plus_q_at_least_n_before_folding(tmp_path, monkeypatch, capsys):

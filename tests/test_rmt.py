@@ -279,12 +279,18 @@ def test_nan_argument_is_a_domain_error(function, ratios):
         function(float("nan"), ratios)
 
 
-def test_gamma_inverse_just_above_edge(ratios):
-    # eigenvalues barely over the edge map to spikes barely over threshold
+@pytest.mark.parametrize("offset", [1e-9, 1e-12, 0.0], ids=["1e-9", "1e-12", "next-float"])
+def test_gamma_inverse_just_above_edge(ratios, offset):
+    # eigenvalues barely over the edge map to spikes barely over threshold; at the
+    # next float above d_right, the double root of gamma(r) = lam, r may round below r_c
     crit = critical_threshold(ratios)
     law = wachter_edges(ratios)
-    r = gamma_inverse(law.d_right + 1e-9, ratios)
-    assert crit.r_c < r < crit.r_c + 1e-3
+    lam = law.d_right + offset if offset else math.nextafter(law.d_right, 1.0)
+    r = gamma_inverse(lam, ratios)
+    assert crit.r_c - 1e-14 <= r < crit.r_c + 1e-3
+    assert abs(gamma_map(r, ratios) - lam) <= 1e-12
+    if offset:
+        assert crit.r_c < r
 
 
 # -- edge factor and companions ------------------------------------------------
