@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError, SpectrumRangeError
-from .sampler import COND_THRESHOLD, DataPair, JointFactor
+from .errors import ConfigurationError, SpectrumRangeError
+from .sampler import DataPair, JointFactor, guard_rank
 
 #: numerical slack allowed outside [0, 1] before clamping
 RANGE_SLACK = 1e-10
@@ -90,17 +90,16 @@ def squared_canonical_correlations(pair: DataPair | JointFactor) -> EigenReport:
 def brute_force_ccs(pair: DataPair) -> EigenReport:
     """Oracle: eigenvalues of the explicitly formed canonical correlation matrix.
 
-    Forms the smaller-side product with explicit inverses, for p, q <= 64.
+    Forms the smaller-side product with explicit inverses, for p, q <= 64,
+    once X' and Y' pass the stable path's rank guard for Sxx and Syy.
     """
     if max(pair.p, pair.q) > 64:
         raise ConfigurationError(
             f"brute force oracle is limited to p, q <= 64, got p = {pair.p}, q = {pair.q}"
         )
     cov = sample_covariances(pair)
-    for block, mat in (("Sxx", cov.Sxx), ("Syy", cov.Syy)):
-        cond = np.linalg.cond(mat)
-        if not cond < 1.0 / COND_THRESHOLD:
-            raise SingularityError(block, cond)
+    guard_rank("Sxx", pair.X.T)
+    guard_rank("Syy", pair.Y.T)
     sxx_inv = np.linalg.inv(cov.Sxx)
     syy_inv = np.linalg.inv(cov.Syy)
     if pair.q <= pair.p:

@@ -395,7 +395,7 @@ def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")

@@ -6,8 +6,9 @@ rectangular coupling T; the pair carries T's k nonzero entries, the spike
 strengths t, so the finite-sample perturbation identities can be checked.
 The general sampler applies the block square root of the joint covariance to
 two independent normal matrices and also supports unit spikes (perfect
-correlation).  :func:`sample_factor` builds a pair's joint factor without
-ever holding X or Y, through the coupled construction unless a spike is 1.
+correlation).  :func:`sample_factor` builds a sampled pair's joint factor
+without holding X or Y, through the coupled construction unless a spike is 1;
+held data reach theirs only through :attr:`DataPair.factor`.
 
 Randomness contract: a PCG64 bit generator seeded through a SeedSequence.
 Per-replicate streams use the root seed with the replicate index as spawn
@@ -112,11 +113,13 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
 
 
 def guard_rank(block: str, R: np.ndarray) -> None:
-    """Raise SingularityError(block) when R'R's condition reaches 1 / COND_THRESHOLD."""
+    """Raise SingularityError(block) unless R'R's condition is below 1 / COND_THRESHOLD."""
+    if R.shape[0] < R.shape[1]:  # R'R is singular
+        raise SingularityError(block, np.inf)
     if _clearly_nonsingular(R):
         return
     s = np.linalg.svd(R, compute_uv=False)
-    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= COND_THRESHOLD:
+    if not (s[0] > 0.0 and (s[-1] / s[0]) ** 2 > COND_THRESHOLD):
         cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
         raise SingularityError(block, cond)
 
@@ -153,10 +156,9 @@ class JointFactor:
     (n - q) x p when p + q > n.  The singular values of ``cosines`` =
     Qx[:q] are the cosines of the principal angles between the row spaces.
     The blocks are read-only views of R and Qx, not copies.  Both builders,
-    :meth:`of` for a pair and :func:`sample_factor` for a streamed
-    sampled pair, finish in one shared step whose rank guard
-    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy; :meth:`of` needs
-    p < n and q < n, which a :class:`ModelConfig` already ensures.
+    :attr:`DataPair.factor` for held data and :func:`sample_factor` for a
+    streamed sampled pair, finish in one shared step whose rank guard
+    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy.
     """
 
     Ryy: np.ndarray
@@ -167,19 +169,6 @@ class JointFactor:
     p: int
     q: int
     n: int
-
-    @classmethod
-    def of(cls, X: np.ndarray, Y: np.ndarray, t: np.ndarray | None) -> JointFactor:
-        (p, n), q = X.shape, Y.shape[0]
-        if not (p < n and q < n):
-            raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
-
-        def fill(block, start):
-            stop = start + block.shape[1]
-            block[:q] = Y[:, start:stop]
-            block[q:] = X[:, start:stop]
-
-        return cls._guarded(_fold(q + p, n, fill), t, p, q, n)
 
     @classmethod
     def _guarded(cls, R: np.ndarray, t, p: int, q: int, n: int) -> JointFactor:
@@ -248,7 +237,16 @@ class DataPair:
     @cached_property
     def factor(self) -> JointFactor:
         """The pair's :class:`JointFactor`; raises for p >= n, q >= n or a singular block."""
-        return JointFactor.of(self.X, self.Y, self.t)
+        X, Y, (p, n), q = self.X, self.Y, self.X.shape, self.q
+        if not (p < n and q < n):
+            raise ConfigurationError(f"need p < n and q < n, got p = {p}, q = {q}, n = {n}")
+
+        def fill(block, start):
+            stop = start + block.shape[1]
+            block[:q] = Y[:, start:stop]
+            block[q:] = X[:, start:stop]
+
+        return JointFactor._guarded(_fold(q + p, n, fill), self.t, p, q, n)
 
 
 def _coupled(config: ModelConfig, rng: np.random.Generator):

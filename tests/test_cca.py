@@ -25,7 +25,7 @@ from spikecca import (
 )
 from spikecca.cca import RANGE_SLACK
 from spikecca.cli import main
-from spikecca.sampler import COND_THRESHOLD, _clearly_nonsingular
+from spikecca.sampler import COND_THRESHOLD, _clearly_nonsingular, guard_rank
 
 
 def random_pair(rng, p, q, n, k=0, spikes=None):
@@ -159,6 +159,39 @@ def test_wide_pairs_share_p_plus_q_minus_n_directions(p, q, n):
     assert np.count_nonzero(np.abs(report.lambdas - 1.0) <= 1e-12) == p + q - n
 
 
+@pytest.mark.parametrize(
+    "R, condition",
+    [
+        (np.array([[np.inf, 1.0], [0.0, 1.0]]), "nan"),
+        (np.zeros((3, 3)), "inf"),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "inf"),
+    ],
+    ids=["non-finite", "zero", "wide"],
+)
+def test_rank_guard_fails_closed(R, condition):
+    # NaN singular values, a zero block and a wide R (R'R singular) all raise
+    with pytest.raises(SingularityError) as info:
+        guard_rank("Sxx", R)
+    assert info.value.block == "Sxx"
+    assert str(info.value.condition) == condition
+
+
+@pytest.mark.parametrize("cond_sxx", [1.1e10, 1e11, 1e13])
+def test_brute_force_and_stable_path_share_one_rank_rule(cond_sxx):
+    Y = standard_normal_matrix(seeded_rng(10), 30, 200)
+    pair = DataPair(X=conditioned_x(cond_sxx), Y=Y)
+    conditions = []
+    for method in (squared_canonical_correlations, brute_force_ccs):
+        with pytest.raises(SingularityError) as info:
+            method(pair)
+        assert info.value.block == "Sxx"
+        conditions.append(info.value.condition)
+    assert conditions[1] == pytest.approx(conditions[0], rel=1e-9)
+    passing = DataPair(X=conditioned_x(9e9), Y=Y)
+    squared_canonical_correlations(passing)
+    brute_force_ccs(passing)
+
+
 def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
     cleared = []
     for cond_sxx in np.geomspace(1.0, 1e12, 25):
@@ -219,6 +252,15 @@ def test_brute_force_singular_block():
     with pytest.raises(SingularityError) as info:
         brute_force_ccs(DataPair(X=X, Y=Y))
     assert info.value.block == "Sxx"
+
+
+def test_brute_force_rejects_more_variables_than_samples():
+    # p > n: X' is wide, so Sxx is singular however its n singular values spread
+    rng = seeded_rng(24)
+    pair = DataPair(X=standard_normal_matrix(rng, 10, 5), Y=standard_normal_matrix(rng, 3, 5))
+    with pytest.raises(SingularityError) as info:
+        brute_force_ccs(pair)
+    assert info.value.block == "Sxx" and info.value.condition == np.inf
 
 
 def test_stable_matches_brute_force_on_random_instances():

@@ -439,7 +439,7 @@ def test_estimate_drops_a_byte_order_mark(tmp_path, capsys):
     assert plain[0] == 0 and json.loads(plain[1])["p"] == 20
 
 
-@pytest.mark.parametrize("kind", ["matrix", "config", "matrix_first_row"])
+@pytest.mark.parametrize("kind", ["matrix", "config", "matrix_first_row", "config_nested"])
 def test_undecodable_input_exit_one(tmp_path, capsys, kind):
     path = tmp_path / "input"
     if kind.startswith("matrix"):
@@ -448,7 +448,9 @@ def test_undecodable_input_exit_one(tmp_path, capsys, kind):
         path.write_bytes(text)
         argv = ["estimate", "--x", str(path), "--y", str(path)]
     else:
-        path.write_bytes(b'{"p": 5\xff}')
+        # nesting past the recursion limit makes json raise RecursionError
+        nested = b'{"spikes": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        path.write_bytes(nested if kind == "config_nested" else b'{"p": 5\xff}')
         argv = ["simulate", "--config", str(path)]
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""

@@ -20,7 +20,7 @@ from spikecca import (
     standard_normal_matrix,
     subtract_means,
 )
-from spikecca.sampler import CHUNK, JointFactor, sample_factor
+from spikecca.sampler import CHUNK, sample_factor
 
 
 def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
@@ -154,7 +154,7 @@ def test_streamed_factor_equals_the_sampled_pairs(p, q, n, spikes, sample):
     rng_pair, rng_streamed = replicate_rng(41, 2), replicate_rng(41, 2)
     pair = sample(cfg, rng_pair)
     streamed = sample_factor(cfg, rng_streamed)
-    factor = JointFactor.of(pair.X, pair.Y, pair.t)
+    factor = pair.factor
     assert np.array_equal(streamed.Ryy.base, factor.Ryy.base)
     assert np.array_equal(streamed.cosines, factor.cosines)
     if pair.t is None:
