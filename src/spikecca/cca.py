@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SpectrumRangeError
+from .errors import ConfigurationError, DomainError, SpectrumRangeError
 from .sampler import DataPair, JointFactor, guard_rank
 
 #: numerical slack allowed outside [0, 1] before clamping
@@ -113,6 +113,8 @@ def brute_force_ccs(pair: DataPair) -> EigenReport:
 
 def empirical_cdf(report: EigenReport, x: float) -> float:
     """Fraction of the min(p, q) eigenvalues at or below x (right continuous)."""
+    if np.isnan(x):
+        raise DomainError("distribution function argument is NaN")
     count = len(report.lambdas)
     if count == 0:
         return 0.0

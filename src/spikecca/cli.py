@@ -62,30 +62,30 @@ def _detect_margin(margin, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """A Monte Carlo experiment: model plus orchestration parameters.
+class ExperimentConfig(ModelConfig):
+    """A Monte Carlo experiment: the model's fields, then orchestration parameters.
 
     ``top_m=None`` resolves to min(10, p, q) and ``detect_margin=None`` to
     :func:`default_detect_margin` of n.
     """
 
-    model: ModelConfig
     replicates: int = 1
     top_m: int | None = None
     detect_margin: float | None = None
     outputs: tuple[str, ...] = _FORMATS[:1]
 
     def __post_init__(self):
+        super().__post_init__()
         if not (type(self.replicates) is int and self.replicates >= 1):
             raise ConfigurationError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        dim = min(self.model.p, self.model.q)
+        dim = min(self.p, self.q)
         top_m = min(10, dim) if self.top_m is None else self.top_m
         if not (type(top_m) is int and 1 <= top_m <= dim):
             raise ConfigurationError(
                 f"top_m must be an integer in [1, min(p, q)] = [1, {dim}], got {top_m!r}"
             )
         object.__setattr__(self, "top_m", top_m)
-        object.__setattr__(self, "detect_margin", _detect_margin(self.detect_margin, self.model.n))
+        object.__setattr__(self, "detect_margin", _detect_margin(self.detect_margin, self.n))
         outputs = self.outputs
         if not (isinstance(outputs, (list, tuple)) and outputs
                 and all(fmt in _FORMATS for fmt in outputs)):
@@ -152,12 +152,10 @@ def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: floa
 
 def _payload_header(config: ExperimentConfig) -> tuple[dict, dict, float]:
     """The config echo, the theory block and the detection threshold of a run."""
-    model = config.model
     # every config key but outputs, which only picks the payload's format
-    echo = {key: getattr(model, key) for key in _MODEL_KEYS}
-    echo["spikes"] = list(model.spikes.r)
-    echo.update((key, getattr(config, key)) for key in _EXPERIMENT_KEYS if key != "outputs")
-    theory = theory_block(model.ratios, model.spikes)
+    echo = {key: getattr(config, key) for key in _KEYS if key != "outputs"}
+    echo["spikes"] = list(config.spikes.r)
+    theory = theory_block(config.ratios, config.spikes)
     return echo, theory, theory["d_right"] + config.detect_margin
 
 
@@ -170,13 +168,13 @@ def simulate_run(config: ExperimentConfig) -> dict:
     """
     echo, theory, threshold = _payload_header(config)
     top_matrix = np.vstack(
-        [run_replicate(config.model, config.top_m, i)[1] for i in range(config.replicates)]
+        [run_replicate(config, config.top_m, i)[1] for i in range(config.replicates)]
     )
     replicate_rows = [
         {
             "index": i,
             "top": [float(v) for v in top_matrix[i]],
-            "estimates": _estimates_for(top_matrix[i], config.model.ratios, threshold),
+            "estimates": _estimates_for(top_matrix[i], config.ratios, threshold),
         }
         for i in range(config.replicates)
     ]
@@ -252,15 +250,14 @@ def verify_run(config: ExperimentConfig) -> dict:
     detected outlier (it should vanish), and the reduced matrix M_n is
     compared entrywise with its limit at the probe point z = (d_right + 1) / 2.
     """
-    model = config.model
-    if model.spikes.k < 1:
+    if config.spikes.k < 1:
         raise ConfigurationError("verification needs at least one spike")
-    if 1.0 in model.spikes.r:
+    if 1.0 in config.spikes.r:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
     echo, theory, threshold = _payload_header(config)
     z = (theory["d_right"] + 1.0) / 2.0
     rows = [
-        _verify_replicate(model, config.top_m, index, threshold, z)
+        _verify_replicate(config, config.top_m, index, threshold, z)
         for index in range(config.replicates)
     ]
     residuals = [abs(o["normalized_det"]) for row in rows for o in row["outliers"]]
@@ -385,10 +382,9 @@ def load_matrix(path: str) -> np.ndarray:
         raise ConfigurationError(f"malformed matrix file {path}: {exc}") from exc
 
 
-# The config keys are the init fields of the config types.  Only the keys given
-# reach those types, so their defaults are the only ones.
-_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.init)
-_EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init and f.name != "model")
+# The config keys are the init fields of the config type, the model's first.
+# Only the keys given reach it, so its defaults are the only ones.
+_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
 def _load_config_file(path: str) -> dict:
@@ -399,7 +395,7 @@ def _load_config_file(path: str) -> dict:
             raise ConfigurationError(f"could not parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_MODEL_KEYS + _EXPERIMENT_KEYS)
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
     nulls = [key for key, value in data.items() if value is None]
@@ -416,7 +412,7 @@ def resolve_experiment(args) -> ExperimentConfig:
     if getattr(args, "preset", None) == "figure1":
         for key, val in FIGURE_PRESET.items():
             values.setdefault(key, val)
-    for key in _MODEL_KEYS + _EXPERIMENT_KEYS:
+    for key in _KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     if getattr(args, "format", None):
@@ -426,8 +422,7 @@ def resolve_experiment(args) -> ExperimentConfig:
         raise ConfigurationError(f"missing required dimensions {missing}")
     spikes = values.get("spikes", [])
     values["spikes"] = SpikeSpectrum(_parse_spikes(spikes) if isinstance(spikes, str) else spikes)
-    model = ModelConfig(**{k: v for k, v in values.items() if k in _MODEL_KEYS})
-    config = ExperimentConfig(model, **{k: v for k, v in values.items() if k in _EXPERIMENT_KEYS})
+    config = ExperimentConfig(**values)
     if len(config.outputs) > 1 and getattr(args, "out", None) is None:
         raise ConfigurationError(f"outputs {list(config.outputs)} need --out: stdout takes one format")
     return config

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import (
+    DomainError,
     NumericalError,
     ResolventSingularityError,
     UnsupportedModelError,
@@ -148,6 +149,8 @@ class DeterminantOracle:
 
     def reduced_matrix(self, lam: float) -> np.ndarray:
         """I + (1 - lam) V Phi(lam) U, read through the projections V vecs and vecs' U."""
+        if not np.isfinite(lam):
+            raise DomainError(f"the determinant argument must be finite, got lam = {lam}")
         gaps = self.mu - lam
         nearest, farthest = np.min(np.abs(gaps)), np.max(np.abs(gaps))
         if nearest <= 1e-10 * farthest:

@@ -52,7 +52,6 @@ class DimensionRatios:
 
     c1: float
     c2: float
-    equal_ratios: bool = field(init=False)
 
     def __post_init__(self):
         c1, c2 = float(self.c1), float(self.c2)
@@ -64,20 +63,13 @@ class DimensionRatios:
             raise ConfigurationError(f"need c1 + c2 < 1, got c1 + c2 = {c1 + c2}")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "equal_ratios", c1 == c2)
-        if self.equal_ratios:
+        if c1 == c2:
             warnings.warn(
                 "c1 == c2: limit formulas remain finite but the asymptotic "
                 "theory assumes distinct ratios",
                 EqualRatiosWarning,
                 stacklevel=_caller_stacklevel(),
             )
-
-    def swapped(self) -> "DimensionRatios":
-        """Ratios with the roles of the two vectors exchanged."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EqualRatiosWarning)
-            return DimensionRatios(self.c2, self.c1)
 
 
 def ratios_from_dims(p: int, q: int, n: int) -> DimensionRatios:
@@ -183,11 +175,12 @@ def spike_to_t(r: float) -> float:
 
 
 def t_to_spike(t: float) -> float:
-    """Inverse of :func:`spike_to_t`: r = t^2 / (1 + t^2) for t >= 0."""
+    """Inverse of :func:`spike_to_t`: r = t^2 / (1 + t^2) for 0 <= t < inf, 1 once t^2 is inf."""
     t = float(t)
-    if t < 0.0:
-        raise DomainError(f"signal strength must be nonnegative, got {t}")
-    return t * t / (1.0 + t * t)
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"signal strength must be nonnegative and finite, got {t}")
+    t2 = t * t
+    return 1.0 if t2 == math.inf else t2 / (1.0 + t2)
 
 
 def mixing_weights(r: float) -> tuple[float, float]:

@@ -205,6 +205,8 @@ class DataPair:
             raise ConfigurationError(
                 f"X and Y must share the sample dimension: {X.shape} vs {Y.shape}"
             )
+        if X.shape[0] == 0 or Y.shape[0] == 0:
+            raise ConfigurationError(f"X and Y need at least one row each: {X.shape} vs {Y.shape}")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ConfigurationError("X and Y must hold only finite values (no NaN or inf)")
         if self.t is not None:

@@ -8,6 +8,7 @@ import pytest
 from spikecca import (
     ConfigurationError,
     DataPair,
+    DomainError,
     EigenReport,
     ModelConfig,
     SingularityError,
@@ -356,6 +357,12 @@ def test_empirical_cdf_boundaries():
     assert empirical_cdf(report, 1.0) == 1.0
     assert empirical_cdf(report, 1.5) == 1.0
     assert empirical_cdf(report, -0.1) == 0.0
+
+
+def test_empirical_cdf_rejects_nan():
+    report = EigenReport(lambdas=np.array([0.9, 0.5, 0.1]))
+    with pytest.raises(DomainError, match="NaN"):
+        empirical_cdf(report, np.nan)
 
 
 def test_empirical_cdf_median_of_odd_count():

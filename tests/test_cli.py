@@ -215,8 +215,7 @@ def test_config_file_sets_every_key(tmp_path):
     cfg_path.write_text(json.dumps(keys))
     args = build_parser().parse_args(["simulate", "--config", str(cfg_path), "--out", "run"])
     config = resolve_experiment(args)
-    model = config.model
-    assert (model.p, model.q, model.n, list(model.spikes.r), model.seed) == (20, 40, 250, [0.7, 0.2], 6)
+    assert (config.p, config.q, config.n, list(config.spikes.r), config.seed) == (20, 40, 250, [0.7, 0.2], 6)
     assert (config.replicates, config.top_m, config.detect_margin) == (2, 3, 0.25)
     assert config.outputs == ("csv", "json")
 
@@ -308,10 +307,12 @@ def test_simulate_unit_spike_deterministic_top(capsys):
 
 def test_simulate_aggregation_is_order_insensitive():
     # row i is replicate i's stream alone, whatever runs before it
-    model = ModelConfig(p=30, q=60, n=300, spikes=SpikeSpectrum((0.8,)), seed=5)
-    payload = simulate_run(ExperimentConfig(model=model, replicates=4, top_m=3))
+    config = ExperimentConfig(
+        p=30, q=60, n=300, spikes=SpikeSpectrum((0.8,)), seed=5, replicates=4, top_m=3
+    )
+    payload = simulate_run(config)
     for i in (3, 0):
-        alone = [float(v) for v in run_replicate(model, 3, i)[1]]
+        alone = [float(v) for v in run_replicate(config, 3, i)[1]]
         assert payload["replicates"][i]["top"] == alone
 
 
@@ -320,25 +321,25 @@ def test_figure_preset_fills_dimensions():
 
     args = build_parser().parse_args(["simulate", "--preset", "figure1", "--replicates", "2"])
     config = resolve_experiment(args)
-    assert (config.model.p, config.model.q, config.model.n) == (500, 1000, 5000)
-    assert config.model.spikes.r == (0.8, 0.7, 0.6, 0.16, 0.15)
+    assert (config.p, config.q, config.n) == (500, 1000, 5000)
+    assert config.spikes.r == (0.8, 0.7, 0.6, 0.16, 0.15)
     assert config.replicates == 2
 
 
 def test_experiment_config_default_top_m_fits_small_dimensions():
-    model = ModelConfig(p=8, q=30, n=200, spikes=SpikeSpectrum((0.5,)))
-    assert ExperimentConfig(model).top_m == 8
-    assert ExperimentConfig(model, top_m=None).top_m == 8
+    model = dict(p=8, q=30, n=200, spikes=SpikeSpectrum((0.5,)))
+    assert ExperimentConfig(**model).top_m == 8
+    assert ExperimentConfig(**model, top_m=None).top_m == 8
 
 
 def test_experiment_config_validation():
-    model = ModelConfig(p=30, q=60, n=300, spikes=SpikeSpectrum((0.8,)), seed=5)
-    with pytest.raises(Exception):
-        ExperimentConfig(model=model, replicates=0)
-    with pytest.raises(Exception):
-        ExperimentConfig(model=model, top_m=31)
-    with pytest.raises(Exception):
-        ExperimentConfig(model=model, outputs=("xml",))
+    model = dict(p=30, q=60, n=300, spikes=SpikeSpectrum((0.8,)), seed=5)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**model, replicates=0)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**model, top_m=31)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**model, outputs=("xml",))
 
 
 # -- estimate ----------------------------------------------------------------------
@@ -525,8 +526,9 @@ def test_verify_echoes_the_top_m_it_certifies(capsys):
 
 
 def test_verify_subcritical_spikes_certify_nothing():
-    model = ModelConfig(p=60, q=90, n=600, spikes=SpikeSpectrum((0.05,)), seed=2)
-    payload = verify_run(ExperimentConfig(model=model, replicates=2, top_m=5))
+    payload = verify_run(ExperimentConfig(
+        p=60, q=90, n=600, spikes=SpikeSpectrum((0.05,)), seed=2, replicates=2, top_m=5
+    ))
     assert payload["summary"]["outliers_certified"] == 0
     assert payload["summary"]["max_normalized_det"] is None
 
@@ -549,8 +551,9 @@ def test_verify_holds_one_replicate_at_a_time(monkeypatch):
 
     monkeypatch.setattr(sampler, "sample_factor", checked_sample)
     monkeypatch.setattr(detverify, "DeterminantOracle", recorded_oracle)
-    model = ModelConfig(p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=3)
-    payload = verify_run(ExperimentConfig(model=model, replicates=3, top_m=3))
+    payload = verify_run(ExperimentConfig(
+        p=20, q=30, n=200, spikes=SpikeSpectrum((0.8,)), seed=3, replicates=3, top_m=3
+    ))
     assert len(payload["replicates"]) == 3
     assert len(alive) == 6
 

@@ -152,6 +152,18 @@ def test_resolvent_singularity_detected(spiked_pair):
             evaluate(float(np.max(null_eigs)))
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_non_finite_argument_fails_closed(spiked_pair, lam):
+    # a non-finite lam is outside the determinant's domain, not a singular resolvent
+    oracle = DeterminantOracle(spiked_pair)
+    with pytest.raises(DomainError):
+        oracle.reduced_matrix(lam)
+    with pytest.raises(DomainError):
+        oracle.normalized_det(lam)
+    with pytest.raises(DomainError):
+        finite_n_det(spiked_pair, lam)
+
+
 def test_wishart_trace_moment():
     p, q, n = 40, 80, 400
     traces_e = []

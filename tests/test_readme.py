@@ -1,7 +1,11 @@
+import json
 import re
 from pathlib import Path
 
+import pytest
+
 import spikecca as sc
+from spikecca.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +19,15 @@ def test_library_quick_start_runs():
     assert abs(namespace["r_hat"] - 0.8) < 0.05
     lam = float(namespace["report"].lambdas[0])
     assert abs(sc.finite_n_det(namespace["pair"], lam)) < 1e-6
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_config_echo_follows_the_documented_keys(capsys, command):
+    # the echo holds every config key but outputs, in the README's order
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Config file keys: `\{(.*?)\}`", text, re.S)
+    assert listed, "README lists no config file keys"
+    keys = [key.strip() for key in listed.group(1).split(",")]
+    assert main([command, "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["config"]) == [key for key in keys if key != "outputs"]

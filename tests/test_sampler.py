@@ -286,6 +286,12 @@ def test_data_pair_shape_check():
         DataPair(X=np.ones(5), Y=np.ones((3, 5)))
 
 
+@pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
+def test_data_pair_rejects_an_empty_block(p, q):
+    with pytest.raises(ConfigurationError, match="at least one row"):
+        DataPair(X=np.empty((p, 10)), Y=np.empty((q, 10)))
+
+
 @pytest.mark.parametrize(
     "build",
     [
