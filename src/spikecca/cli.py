@@ -239,7 +239,7 @@ def _verify_replicate(
     return {
         "index": index,
         "outliers": outliers,
-        "mn_max_abs_diff": oracle.mn_comparison(z).max_abs_diff(),
+        "mn_max_abs_diff": oracle.mn_comparison(z),
     }
 
 

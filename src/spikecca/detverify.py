@@ -65,17 +65,6 @@ class PerturbationFactors:
     Delta: np.ndarray
 
 
-@dataclass(frozen=True)
-class MnComparison:
-    """Finite-sample matrix M_n(z) next to its deterministic limit M(z)."""
-
-    finite: np.ndarray
-    limit: np.ndarray
-
-    def max_abs_diff(self) -> float:
-        return float(np.max(np.abs(self.finite - self.limit), initial=0.0))
-
-
 class DeterminantOracle:
     """The null-side pencil and the factors of one data pair, each built once.
 
@@ -107,11 +96,13 @@ class DeterminantOracle:
         A[:, :k] -= R_yk * self.t
         # Sww = [A; Rxx]'[A; Rxx] / n
         guard_rank("Sww", np.vstack((A, factor.Rxx)))
-        gram = A.T @ A
-        self.E = gram / self.n
-        self.S_ww = (gram + factor.Rxx.T @ factor.Rxx) / self.n
-        self.S_wy = A.T @ R_yk / self.n
-        self.S_yy = R_yk.T @ R_yk / self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = A.T @ A
+            self.E = gram / self.n
+            self.S_ww = (gram + factor.Rxx.T @ factor.Rxx) / self.n
+            self.S_wy = A.T @ R_yk / self.n
+            self.S_yy = R_yk.T @ R_yk / self.n
+        _require_finite("the null pencil's covariances", self.E, self.S_ww, self.S_wy, self.S_yy)
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
         self.mu, self.vecs = eigh(self.E, self.S_ww)
         # Delta = B C B' through its rank-2k range, checked against the direct formula
@@ -161,15 +152,17 @@ class DeterminantOracle:
                 f"lam = {lam} is too close to a null-case eigenvalue "
                 f"(condition estimate {cond:.3e})",
             )
-        core = (self._V_vecs / gaps) @ self._vecs_U
-        return np.eye(core.shape[0]) + (1.0 - lam) * core
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.eye(2 * self.k) + (1.0 - lam) * ((self._V_vecs / gaps) @ self._vecs_U)
+        _require_finite(f"the reduced matrix at lam = {lam}", M)
+        return M
 
     def normalized_det(self, lam: float) -> float:
-        M = self.reduced_matrix(lam)
-        norms = np.linalg.norm(M, axis=1)
-        if np.any(norms == 0.0):
-            return 0.0
-        return float(np.linalg.det(M) / np.prod(norms))
+        """det of the reduced matrix, the certificate that vanishes at each outlier.
+
+        It is 1 when Delta = 0 and unchanged when X and Y are rescaled together.
+        """
+        return float(np.linalg.det(self.reduced_matrix(lam)))
 
     def limit_matrix(self, z: float) -> np.ndarray:
         """Entrywise limit [[I + f T^2, f T], [h T, I]] of the reduced matrix.
@@ -190,16 +183,23 @@ class DeterminantOracle:
             ]
         )
 
-    def mn_comparison(self, z: float) -> MnComparison:
-        """M_n(z) next to its limit M(z), at a real z beyond the bulk edge."""
+    def mn_comparison(self, z: float) -> float:
+        """max |M_n(z) - M(z)| over the entries, at a real z beyond the bulk edge.
+
+        M(z) is the limit for unit-variance data, so unlike the determinant
+        this deviation moves with the data's units.
+        """
         z = beyond_edge(z, ratios_from_dims(self.p, self.q, self.n))
-        return MnComparison(finite=self.reduced_matrix(z), limit=self.limit_matrix(z))
+        diff = self.reduced_matrix(z) - self.limit_matrix(z)
+        return float(np.max(np.abs(diff), initial=0.0))
 
 
 def finite_n_det(pair: DataPair, lam: float) -> float:
-    """det(I + (1 - lam) V Phi(lam) U), scaled by the product of row norms.
-
-    The scaling makes "vanishes at an outlier" a scale-free statement: the
-    normalized value is at most 1 in magnitude.
-    """
+    """det(I + (1 - lam) V Phi(lam) U), which vanishes at each outlier of the pair."""
     return DeterminantOracle(pair).normalized_det(lam)
+
+
+def _require_finite(what: str, *blocks: np.ndarray) -> None:
+    """Raise :class:`NumericalError` when a block left double range."""
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise NumericalError(f"{what} left double range; rescale X and Y")

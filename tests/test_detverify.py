@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spikecca import (
     DeterminantOracle,
     DomainError,
     ModelConfig,
+    NumericalError,
     ResolventSingularityError,
     SingularityError,
     SpikeSpectrum,
@@ -79,9 +82,8 @@ def test_null_oracle_is_the_identity():
     for lam in (0.6, 0.9):
         assert oracle.normalized_det(lam) == 1.0
     assert oracle.limit_matrix(0.7).shape == (0, 0)
-    comparison = oracle.mn_comparison(0.7)
-    assert comparison.finite.shape == comparison.limit.shape == (0, 0)
-    assert comparison.max_abs_diff() == 0.0
+    assert oracle.reduced_matrix(0.7).shape == (0, 0)
+    assert oracle.mn_comparison(0.7) == 0.0
 
 
 def test_perturbation_is_symmetric(spiked_pair):
@@ -342,6 +344,58 @@ def test_certificate_separates_roots_from_near_misses():
             assert abs(oracle.normalized_det(float(lam) + 0.01)) > 1e-3
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e-150, 1e150])
+def test_certificate_does_not_depend_on_units(spiked_pair, scale):
+    # the determinant is invariant when X and Y are rescaled together, so a
+    # change of units neither certifies a non-root nor loses a root
+    lam = float(squared_canonical_correlations(spiked_pair).lambdas[0])
+    beside = DeterminantOracle(spiked_pair).normalized_det(lam + 0.01)
+    pair = DataPair(X=spiked_pair.X * scale, Y=spiked_pair.Y * scale, t=spiked_pair.t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = DeterminantOracle(pair)
+        assert abs(oracle.normalized_det(lam)) < 1e-10
+        assert oracle.normalized_det(lam + 0.01) == pytest.approx(beside, rel=1e-9)
+
+
+def test_strong_spikes_certify_only_their_outliers():
+    # spikes near 1 make the reduced matrix's rows very unequal; the
+    # determinant still vanishes at the outliers and nowhere else on a grid
+    cfg = ModelConfig(
+        p=100, q=200, n=1000, spikes=SpikeSpectrum((0.999, 0.998, 0.997)), seed=42
+    )
+    pair = sample_coupled(cfg)
+    lambdas = squared_canonical_correlations(pair).lambdas
+    oracle = DeterminantOracle(pair)
+    for lam in lambdas[:3]:
+        assert abs(oracle.normalized_det(float(lam))) < 1e-10
+    grid = [
+        x for x in np.linspace(0.53, 0.995, 94) if np.min(np.abs(lambdas - x)) >= 0.005
+    ]
+    assert len(grid) == 93
+    assert min(abs(oracle.normalized_det(float(x))) for x in grid) > 1e-3
+
+
+def test_oracle_fails_closed_past_double_range():
+    # the covariances overflow at X, Y x 1e160 and the reduced matrix at
+    # x 1e-160: both raise NumericalError, and no warning escapes
+    cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=3)
+    pair = sample_coupled(cfg)
+    lam = float(squared_canonical_correlations(pair).lambdas[0])
+
+    def scaled(scale):
+        return DataPair(X=pair.X * scale, Y=pair.Y * scale, t=pair.t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="double range"):
+            DeterminantOracle(scaled(1e160))
+        oracle = DeterminantOracle(scaled(1e-160))
+        for evaluate in (oracle.normalized_det, oracle.mn_comparison):
+            with pytest.raises(NumericalError, match="double range"):
+                evaluate(lam)
+
+
 def test_zero_coupling_det_is_one():
     pair = zero_coupling_pair()
     for lam in (0.6, 0.75, 0.9):
@@ -363,9 +417,9 @@ def test_reduced_equals_full_determinant(spiked_pair):
 
 def test_zero_coupling_reduced_matrix_is_identity():
     pair = zero_coupling_pair()
-    comparison = DeterminantOracle(pair).mn_comparison(0.7)
-    assert np.array_equal(comparison.finite, np.eye(2))
-    assert np.array_equal(comparison.limit, np.eye(2))
+    oracle = DeterminantOracle(pair)
+    assert np.array_equal(oracle.reduced_matrix(0.7), np.eye(2))
+    assert np.array_equal(oracle.limit_matrix(0.7), np.eye(2))
 
 
 def test_mn_comparison_domain(spiked_pair):
@@ -383,7 +437,7 @@ def test_leading_entry_concentrates():
     entries = []
     for i in range(reps):
         pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-        entries.append(DeterminantOracle(pair).mn_comparison(z).finite[0, 0])
+        entries.append(DeterminantOracle(pair).reduced_matrix(z)[0, 0])
     ratios = cfg.ratios
     target = 1.0 + spike_to_t(0.8) ** 2 * f(z, ratios)
     assert abs(float(np.mean(entries)) - target) < 0.05
@@ -396,9 +450,9 @@ def test_cross_spike_entries_concentrate_near_zero():
     off = []
     for i in range(reps):
         pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-        comparison = DeterminantOracle(pair).mn_comparison(z)
-        off.append(comparison.finite[np.ix_(spike0, spike1)])
-        off.append(comparison.finite[np.ix_(spike1, spike0)])
+        finite = DeterminantOracle(pair).reduced_matrix(z)
+        off.append(finite[np.ix_(spike0, spike1)])
+        off.append(finite[np.ix_(spike1, spike0)])
     # the entries coupling spike 0 to spike 1 have zero limit
     assert np.max(np.abs(np.mean(off, axis=0))) < 0.05
 
@@ -411,7 +465,7 @@ def test_entry_scatter_shrinks_with_dimension():
         deviations = []
         for i in range(48):
             pair = sample_coupled(cfg, replicate_rng(cfg.seed, i))
-            deviations.append(DeterminantOracle(pair).mn_comparison(z).finite[0, 0])
+            deviations.append(DeterminantOracle(pair).reduced_matrix(z)[0, 0])
         spreads.append(float(np.std(deviations)))
     assert spreads[0] / spreads[1] > 1.5
 
