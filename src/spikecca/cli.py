@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -483,9 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    with blas.single_thread(), warnings.catch_warnings():
-        # one "warning:" line per warning, like the "error:" lines
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    with blas.single_thread():
         return _dispatch(args)
 
 

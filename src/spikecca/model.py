@@ -13,41 +13,17 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DomainError
-
-
-def _caller_stacklevel() -> int:
-    """``warnings.warn`` stack level of the nearest frame outside this package.
-
-    Called from the function that warns (level 1), it lets a warning raised
-    deep inside any spikecca call name the caller's line, as a direct
-    ``DimensionRatios(...)`` call does, so one call warns from one location.
-    Frames match on ``__package__``, which dataclass-generated methods and
-    ``python -m spikecca.cli`` share with the package's modules.
-    """
-    level, frame = 1, sys._getframe(1)
-    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
-class EqualRatiosWarning(UserWarning):
-    """The two dimension ratios coincide.
-
-    Every quantity computed by this library stays finite at c1 == c2; the
-    asymptotic theory is usually stated for distinct ratios, so construction
-    flags the case instead of rejecting it.
-    """
 
 
 @dataclass(frozen=True)
 class DimensionRatios:
     """Dimension-to-sample-size ratios (c1, c2) = (p/n, q/n).
 
-    Both ratios must lie in (0, 1) and their sum must stay below 1.
+    Both ratios must lie in (0, 1) and their sum must stay below 1; c1 == c2
+    (p = q) is accepted, though the paper assumes p/q stays away from 1.
     """
 
     c1: float
@@ -63,13 +39,6 @@ class DimensionRatios:
             raise ConfigurationError(f"need c1 + c2 < 1, got c1 + c2 = {c1 + c2}")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
-        if c1 == c2:
-            warnings.warn(
-                "c1 == c2: limit formulas remain finite but the asymptotic "
-                "theory assumes distinct ratios",
-                EqualRatiosWarning,
-                stacklevel=_caller_stacklevel(),
-            )
 
 
 def ratios_from_dims(p: int, q: int, n: int) -> DimensionRatios:

@@ -374,27 +374,33 @@ def m2(z: float, ratios: DimensionRatios) -> float:
 
 
 def bulk_mass(ratios: DimensionRatios) -> float:
-    """Total mass of the bulk density by weighted adaptive quadrature.
+    """Total mass of the bulk density by adaptive quadrature.
 
-    Independent of the closed form of :func:`wachter_cdf`: integrates the
-    smooth part of the density against an algebraic sqrt-edge weight.
+    Independent of the closed form of :func:`wachter_cdf`.  The support [a, b]
+    has a and d = 1 - b in cancellation-free form (a is exactly 0 at c1 == c2).
+    With x = a + (b - a) sin^2(phi/2) folded onto phi in [0, pi/2] the integrand
+    is bounded, and the pole at x = 0 (gap a) or 1 (gap d) makes a dip near
+    2 asin(sqrt(gap / (b - a))): breakpoints there and at 16-fold multiples.
     """
     from scipy import integrate  # about 0.2 s to import; no CLI command needs it
 
-    law = wachter_edges(ratios)
-    c_min = min(ratios.c1, ratios.c2)
+    c1, c2 = ratios.c1, ratios.c2
+    a = ((c1 - c2) / (math.sqrt(c1 * (1.0 - c2)) + math.sqrt(c2 * (1.0 - c1)))) ** 2
+    d = ((1.0 - c1 - c2) / (math.sqrt((1.0 - c1) * (1.0 - c2)) + math.sqrt(c1 * c2))) ** 2
+    width = 4.0 * math.sqrt(c1 * (1.0 - c1)) * math.sqrt(c2 * (1.0 - c2))
+    scale = width / (2.0 * math.pi * min(c1, c2)) * width
 
-    def smooth_part(x: float) -> float:
-        return 1.0 / (2.0 * math.pi * c_min * x * (1.0 - x))
+    def integrand(phi: float) -> float:
+        s, t = math.sin(phi / 2.0) ** 2, math.cos(phi / 2.0) ** 2
+        return scale * s * t * (1.0 / ((a + width * s) * (d + width * t))
+                                + 1.0 / ((a + width * t) * (d + width * s)))
 
-    value, _ = integrate.quad(
-        smooth_part,
-        law.d_left,
-        law.d_right,
-        weight="alg",
-        wvar=(0.5, 0.5),
-        epsabs=1e-10,
-        epsrel=1e-10,
-        limit=200,
-    )
+    points = []
+    for gap in (a, d):
+        phi = 2.0 * math.asin(math.sqrt(min(gap / width, 1.0)))
+        while 0.0 < phi < math.pi / 2.0:
+            points.append(phi)
+            phi *= 16.0
+    value, _ = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-10,
+                              limit=200 + len(points), points=points or None)
     return value

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from spikecca import (
     ConfigurationError,
     DimensionRatios,
     DomainError,
-    EqualRatiosWarning,
     ModelConfig,
     SpikeSpectrum,
     coupling_constants,
@@ -17,6 +15,7 @@ from spikecca import (
     spike_to_t,
     t_to_spike,
 )
+from spikecca import model
 
 
 def test_ratios_figure_dims():
@@ -31,9 +30,8 @@ def test_ratios_direct_division():
     assert ratios.c2 == 200 / 1000
 
 
-def test_ratios_tiny_design_warns_on_equal():
-    with pytest.warns(EqualRatiosWarning):
-        ratios = ratios_from_dims(1, 1, 4)
+def test_ratios_tiny_design_equal():
+    ratios = ratios_from_dims(1, 1, 4)
     assert ratios.c1 == 0.25
     assert ratios.c2 == 0.25
 
@@ -121,14 +119,6 @@ def test_mixing_weights_accept_unit_spike():
     assert alpha == beta
 
 
-def test_equal_ratios_warning_points_at_the_caller():
-    with pytest.warns(EqualRatiosWarning) as record:
-        DimensionRatios(0.25, 0.25)
-        ratios_from_dims(1, 1, 4)
-        ModelConfig(p=100, q=100, n=1000, spikes=SpikeSpectrum(()))
-    assert [w.filename for w in record] == [__file__] * 3
-
-
 def test_spectrum_ordering_enforced():
     with pytest.raises(ConfigurationError):
         SpikeSpectrum((0.5, 0.8))
@@ -160,13 +150,18 @@ def test_model_config_constraints():
     assert config.ratios.c1 == 0.2
 
 
-def test_model_config_computes_its_ratios_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = ModelConfig(p=100, q=100, n=1000, spikes=SpikeSpectrum((0.8,)))
-        reads = [config.ratios for _ in range(3)]
+def test_model_config_computes_its_ratios_once(monkeypatch):
+    calls = []
+
+    def counting_ratios_from_dims(p, q, n):
+        calls.append((p, q, n))
+        return ratios_from_dims(p, q, n)
+
+    monkeypatch.setattr(model, "ratios_from_dims", counting_ratios_from_dims)
+    config = ModelConfig(p=100, q=100, n=1000, spikes=SpikeSpectrum((0.8,)))
+    reads = [config.ratios for _ in range(3)]
     assert config.ratios is config.ratios
     assert all(ratios is config.ratios for ratios in reads)
-    assert [w.category for w in caught] == [EqualRatiosWarning]
+    assert calls == [(100, 100, 1000)]
     assert (config.ratios.c1, config.ratios.c2) == (0.1, 0.1)
     assert "ratios" not in repr(config)

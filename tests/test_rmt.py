@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from spikecca import (
     BranchError,
     DimensionRatios,
     DomainError,
-    EqualRatiosWarning,
     bulk_mass,
     critical_threshold,
     ell,
@@ -71,8 +69,7 @@ def test_edges_symmetric_in_ratios():
 
 
 def test_equal_ratios_collapse_lower_edge():
-    with pytest.warns(EqualRatiosWarning):
-        r = DimensionRatios(0.3, 0.3)
+    r = DimensionRatios(0.3, 0.3)
     assert abs(wachter_edges(r).d_left) < 1e-12
 
 
@@ -97,6 +94,16 @@ def test_density_mass_is_one(ratios):
 
 def test_density_mass_swapped_orientation(ratios):
     assert abs(bulk_mass(DimensionRatios(ratios.c2, ratios.c1)) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("c1", [0.001, 0.1, 0.25, 0.3, 0.45, 0.49])
+def test_density_mass_at_equal_and_near_equal_ratios(c1):
+    # the left edge tends to the density's pole at 0 as c2 -> c1, and the right
+    # edge to its pole at 1 as c1 + c2 -> 1: c1 == c2 used to divide by zero
+    for c2 in (c1, math.nextafter(c1, 1.0), c1 * (1 + 1e-12), c1 * (1 + 1e-8),
+               c1 * (1 + 1e-6), c1 * (1 + 1e-4), 1.1 * c1, 0.5 * c1, 1.0 - c1 - 1e-8):
+        if c1 + c2 < 1.0:
+            assert abs(bulk_mass(DimensionRatios(c1, c2)) - 1.0) < 1e-8
 
 
 def test_cdf_endpoints(ratios):
@@ -127,9 +134,7 @@ def test_cdf_median_round_trip(ratios):
 )
 def test_cdf_closed_form_matches_quadrature(c1, c2):
     # the closed form against an adaptive quadrature of the density, c1 = c2 included
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EqualRatiosWarning)
-        ratios = DimensionRatios(c1, c2)
+    ratios = DimensionRatios(c1, c2)
     law = wachter_edges(ratios)
     lo = max(law.d_left, 0.0)
     for x in np.linspace(law.d_left, law.d_right, 41)[1:-1]:
@@ -141,9 +146,7 @@ def test_cdf_closed_form_matches_quadrature(c1, c2):
 
 def test_cdf_between_a_rounded_negative_left_edge_and_zero():
     # at c1 = c2 the left edge 0 can round below zero; the law has no mass there
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EqualRatiosWarning)
-        ratios = DimensionRatios(0.0032421210605302654, 0.0032421210605302654)
+    ratios = DimensionRatios(0.0032421210605302654, 0.0032421210605302654)
     d_left = wachter_edges(ratios).d_left
     assert d_left < 0.0
     assert wachter_cdf(d_left / 2, ratios) == 0.0
@@ -172,8 +175,7 @@ def test_threshold_cross_identity():
 
 
 def test_threshold_equal_ratio_simplification():
-    with pytest.warns(EqualRatiosWarning):
-        r = DimensionRatios(0.2, 0.2)
+    r = DimensionRatios(0.2, 0.2)
     assert critical_threshold(r).r_c == pytest.approx(0.2 / 0.8, abs=1e-12)
 
 
