@@ -65,6 +65,7 @@ def test_certificate_holds_for_non_gaussian_noise(draw, band):
     # is checked only where the entries have a finite fourth moment
     p, q, n = 40, 80, 400
     t = np.array([spike_to_t(r) for r in SPIKES])
+    ratios = ratios_from_dims(p, q, n)
     r_hat = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -77,6 +78,6 @@ def test_certificate_holds_for_non_gaussian_noise(draw, band):
         for lam in lambdas:
             assert abs(oracle.normalized_det(float(lam))) < 1e-10
         assert abs(oracle.normalized_det(float(lambdas[0]) + 0.01)) > 1e-3
-        r_hat.append([gamma_inverse(float(lam), ratios_from_dims(p, q, n)) for lam in lambdas])
+        r_hat.append([gamma_inverse(float(lam), ratios) for lam in lambdas])
     if band is not None:
         assert np.all(np.abs(np.mean(r_hat, axis=0) - SPIKES) <= band)
