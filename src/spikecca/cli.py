@@ -125,16 +125,16 @@ def theory_block(ratios: DimensionRatios, spikes: SpikeSpectrum) -> dict:
 
 
 def run_replicate(
-    model: ModelConfig, top_m: int, index: int
+    config: ExperimentConfig, index: int
 ) -> tuple[sampler.JointFactor, np.ndarray]:
     """One replicate under the derived per-replicate stream: its joint factor and top eigenvalues.
 
     ``sampler.sample_factor`` streams the pair into the factor, so X and Y are never held,
     and picks the construction from the spectrum; both are drawn and transformed alike.
     """
-    factor = sampler.sample_factor(model, sampler.replicate_rng(model.seed, index))
+    factor = sampler.sample_factor(config, sampler.replicate_rng(config.seed, index))
     report = cca.squared_canonical_correlations(factor)
-    return factor, report.lambdas[:top_m]
+    return factor, report.lambdas[:config.top_m]
 
 
 def _outliers(lambdas: np.ndarray, threshold: float) -> list[tuple[int, float]]:
@@ -166,9 +166,7 @@ def simulate_run(config: ExperimentConfig) -> dict:
     never on the random draws.  Row i depends only on replicate i's stream.
     """
     echo, theory, threshold = _payload_header(config)
-    top_matrix = np.vstack(
-        [run_replicate(config, config.top_m, i)[1] for i in range(config.replicates)]
-    )
+    top_matrix = np.vstack([run_replicate(config, i)[1] for i in range(config.replicates)])
     replicate_rows = [
         {
             "index": i,
@@ -221,15 +219,13 @@ def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> d
     }
 
 
-def _verify_replicate(
-    model: ModelConfig, top_m: int, index: int, threshold: float, z: float
-) -> dict:
+def _verify_replicate(config: ExperimentConfig, index: int, threshold: float, z: float) -> dict:
     """One replicate's row of the verify payload.
 
     The joint factor and its oracle live only in this call, so a run holds
     one replicate's working set at a time.
     """
-    factor, top = run_replicate(model, top_m, index)
+    factor, top = run_replicate(config, index)
     oracle = detverify.DeterminantOracle(factor)
     outliers = [
         {"lambda": lam, "normalized_det": oracle.normalized_det(lam)}
@@ -255,10 +251,7 @@ def verify_run(config: ExperimentConfig) -> dict:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
     echo, theory, threshold = _payload_header(config)
     z = (theory["d_right"] + 1.0) / 2.0
-    rows = [
-        _verify_replicate(config, config.top_m, index, threshold, z)
-        for index in range(config.replicates)
-    ]
+    rows = [_verify_replicate(config, index, threshold, z) for index in range(config.replicates)]
     residuals = [abs(o["normalized_det"]) for row in rows for o in row["outliers"]]
     return {
         "config": echo,

@@ -22,8 +22,10 @@ from .errors import ConfigurationError, DomainError
 class DimensionRatios:
     """Dimension-to-sample-size ratios (c1, c2) = (p/n, q/n).
 
-    Both ratios must lie in (0, 1) and their sum must stay below 1; c1 == c2
-    (p = q) is accepted, though the paper assumes p/q stays away from 1.
+    Both ratios must lie in [2^-64, 1) and their sum must stay below 1; c1 == c2
+    (p = q) is accepted, though the paper assumes p/q stays away from 1.  The
+    lower bound keeps c1 c2 clear of underflow and refuses no real design,
+    since p/n >= 1/n > 2^-64 for any n that numpy can index.
     """
 
     c1: float
@@ -31,10 +33,10 @@ class DimensionRatios:
 
     def __post_init__(self):
         c1, c2 = float(self.c1), float(self.c2)
-        if not (0.0 < c1 < 1.0):
-            raise ConfigurationError(f"need 0 < c1 < 1, got c1 = {c1}")
-        if not (0.0 < c2 < 1.0):
-            raise ConfigurationError(f"need 0 < c2 < 1, got c2 = {c2}")
+        if not (2.0**-64 <= c1 < 1.0):
+            raise ConfigurationError(f"need 2^-64 <= c1 < 1, got c1 = {c1}")
+        if not (2.0**-64 <= c2 < 1.0):
+            raise ConfigurationError(f"need 2^-64 <= c2 < 1, got c2 = {c2}")
         if not c1 + c2 < 1.0:
             raise ConfigurationError(f"need c1 + c2 < 1, got c1 + c2 = {c1 + c2}")
         object.__setattr__(self, "c1", c1)

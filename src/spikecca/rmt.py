@@ -48,17 +48,16 @@ class PhaseTransition:
     t_c: float
 
 
-def _cross_term(ratios: DimensionRatios) -> float:
-    c1, c2 = ratios.c1, ratios.c2
-    return math.sqrt(c1 * c2 * (1.0 - c1) * (1.0 - c2))
-
-
 def wachter_edges(ratios: DimensionRatios) -> WachterLaw:
-    """Bulk support edges d_left/d_right = c1 + c2 - 2 c1 c2 -/+ 2 sqrt(c1 c2 (1-c1)(1-c2))."""
+    """Bulk support edges d_left/d_right = c1 + c2 - 2 c1 c2 -/+ 2 sqrt(c1 c2 (1-c1)(1-c2)).
+
+    d_left is taken from the product of the edges, d_left d_right = (c1 - c2)^2:
+    the difference cancels, the quotient does not, so d_left >= 0 and is
+    exactly 0 at c1 == c2.
+    """
     c1, c2 = ratios.c1, ratios.c2
-    base = c1 + c2 - 2.0 * c1 * c2
-    cross = 2.0 * _cross_term(ratios)
-    return WachterLaw(d_left=base - cross, d_right=base + cross)
+    d_right = c1 + c2 - 2.0 * c1 * c2 + 2.0 * math.sqrt(c1 * c2 * (1.0 - c1) * (1.0 - c2))
+    return WachterLaw(d_left=(c1 - c2) ** 2 / d_right, d_right=d_right)
 
 
 def beyond_edge(z: float, ratios: DimensionRatios) -> float:
@@ -91,14 +90,14 @@ def wachter_density(x: float, ratios: DimensionRatios) -> float:
         # 0 or 1 and the denominator x(1-x) vanishes there
         raise DomainError(f"density is singular at x = {x}")
     c_min = min(ratios.c1, ratios.c2)
-    num = math.sqrt(max((law.d_right - x) * (x - law.d_left), 0.0))
+    num = math.sqrt((law.d_right - x) * (x - law.d_left))
     return num / (2.0 * math.pi * c_min * x * (1.0 - x))
 
 
 def wachter_cdf(x: float, ratios: DimensionRatios) -> float:
     """Bulk distribution function, in closed form.
 
-    With a = max(d_left, 0) and b = d_right, splitting 1/(x(1-x)) into
+    With a = d_left and b = d_right, splitting 1/(x(1-x)) into
     1/x + 1/(1-x) and substituting x = (a+b)/2 - ((b-a)/2) cos(phi) leaves
     arctangents of h = tan(phi/2).  sqrt(ab) = |c1 - c2| and
     sqrt((1-a)(1-b)) = 1 - c1 - c2, so F -> 1 at d_right; atan2 keeps
@@ -112,8 +111,8 @@ def wachter_cdf(x: float, ratios: DimensionRatios) -> float:
         return 0.0
     if x >= law.d_right:
         return 1.0
-    a, b = max(law.d_left, 0.0), law.d_right
-    h = math.sqrt(max(x - a, 0.0) / (b - x))
+    a, b = law.d_left, law.d_right
+    h = math.sqrt((x - a) / (b - x))
     ra, rb, sa, sb = math.sqrt(a), math.sqrt(b), math.sqrt(1.0 - a), math.sqrt(1.0 - b)
     value = math.atan(h) - ra * rb * math.atan2(rb * h, ra) - sa * sb * math.atan2(sb * h, sa)
     value /= math.pi * min(ratios.c1, ratios.c2)
@@ -128,7 +127,7 @@ def critical_threshold(ratios: DimensionRatios) -> PhaseTransition:
     that r_c = t_c^2 / (1 + t_c^2).
     """
     c1, c2 = ratios.c1, ratios.c2
-    s = _cross_term(ratios)
+    s = math.sqrt(c1 * c2 * (1.0 - c1) * (1.0 - c2))
     r_c = (c1 * c2 + s) / ((1.0 - c1) * (1.0 - c2) + s)
     t_c = math.sqrt((c1 * c2 + s) / (1.0 - c1 - c2))
     return PhaseTransition(r_c=r_c, t_c=t_c)
@@ -385,7 +384,7 @@ def bulk_mass(ratios: DimensionRatios) -> float:
     from scipy import integrate  # about 0.2 s to import; no CLI command needs it
 
     c1, c2 = ratios.c1, ratios.c2
-    a = ((c1 - c2) / (math.sqrt(c1 * (1.0 - c2)) + math.sqrt(c2 * (1.0 - c1)))) ** 2
+    a = wachter_edges(ratios).d_left
     d = ((1.0 - c1 - c2) / (math.sqrt((1.0 - c1) * (1.0 - c2)) + math.sqrt(c1 * c2))) ** 2
     width = 4.0 * math.sqrt(c1 * (1.0 - c1)) * math.sqrt(c2 * (1.0 - c2))
     scale = width / (2.0 * math.pi * min(c1, c2)) * width

@@ -73,6 +73,23 @@ def test_limits_edges_only(capsys):
     assert payload["d_left"] == pytest.approx(0.02, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv", [["--p", "5", "--q", "5", "--n", "100"], ["--c1", "0.3", "--c2", "0.3"]]
+)
+def test_limits_left_edge_exactly_zero_at_p_equal_q(capsys, argv):
+    code, out, _ = run_cli(capsys, ["limits", *argv])
+    assert code == 0
+    assert '"d_left": 0.0' in out
+
+
+def test_limits_tiny_ratio_exits_one(capsys):
+    # c1 c2 would underflow to 0 and print r_c = 0
+    code, out, err = run_cli(capsys, ["limits", "--c1", "1e-200", "--c2", "1e-200"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_limits_unit_spike_flagged_deterministic(capsys):
     code, out, _ = run_cli(capsys, ["limits", "--c1", "0.1", "--c2", "0.2", "--spikes", "1.0"])
     assert code == 0
@@ -312,7 +329,7 @@ def test_simulate_aggregation_is_order_insensitive():
     )
     payload = simulate_run(config)
     for i in (3, 0):
-        alone = [float(v) for v in run_replicate(config, 3, i)[1]]
+        alone = [float(v) for v in run_replicate(config, i)[1]]
         assert payload["replicates"][i]["top"] == alone
 
 

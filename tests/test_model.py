@@ -51,10 +51,19 @@ def test_ratios_violations_name_the_inequality(p, q, n, fragment):
         ratios_from_dims(p, q, n)
 
 
-@pytest.mark.parametrize("c1, c2", [(0.0, 0.2), (1.0, 0.2), (0.2, -0.1), (0.6, 0.5)])
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(0.0, 0.2), (1.0, 0.2), (0.2, -0.1), (0.6, 0.5),
+     (5e-324, 0.5), (1e-200, 1e-200), (2.0**-65, 0.5)],
+)
 def test_ratio_bounds(c1, c2):
     with pytest.raises(ConfigurationError):
         DimensionRatios(c1, c2)
+
+
+def test_smallest_ratio_accepted():
+    ratios = DimensionRatios(2.0**-64, 0.5)
+    assert (ratios.c1, ratios.c2) == (2.0**-64, 0.5)
 
 
 def test_spike_to_t_symmetry_point():

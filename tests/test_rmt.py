@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -73,6 +74,28 @@ def test_equal_ratios_collapse_lower_edge():
     assert abs(wachter_edges(r).d_left) < 1e-12
 
 
+def _left_edge_reference(c1, c2):
+    # the difference form base - cross, which cancels in doubles but not at 50 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b = decimal.Decimal(c1), decimal.Decimal(c2)
+        return a + b - 2 * a * b - 2 * (a * b * (1 - a) * (1 - b)).sqrt()
+
+
+@pytest.mark.parametrize("c1", [0.001, 0.1, 0.3, 0.45])
+def test_left_edge_accurate_near_equal_ratios(c1):
+    for c2 in (c1, math.nextafter(c1, 1.0), c1 * (1 + 1e-12), c1 * (1 + 1e-8), 1.1 * c1):
+        if not c1 + c2 < 1.0:
+            continue
+        d_left = wachter_edges(DimensionRatios(c1, c2)).d_left
+        assert d_left >= 0.0
+        if c2 == c1:
+            assert d_left == 0.0
+            continue
+        reference = _left_edge_reference(c1, c2)
+        assert float(abs(decimal.Decimal(d_left) - reference) / reference) <= 1e-15
+
+
 # -- density and cdf ---------------------------------------------------------
 
 
@@ -136,20 +159,19 @@ def test_cdf_closed_form_matches_quadrature(c1, c2):
     # the closed form against an adaptive quadrature of the density, c1 = c2 included
     ratios = DimensionRatios(c1, c2)
     law = wachter_edges(ratios)
-    lo = max(law.d_left, 0.0)
     for x in np.linspace(law.d_left, law.d_right, 41)[1:-1]:
         value, _ = integrate.quad(
-            wachter_density, lo, x, args=(ratios,), epsabs=1e-14, epsrel=1e-13, limit=200
+            wachter_density, law.d_left, x, args=(ratios,), epsabs=1e-14, epsrel=1e-13, limit=200
         )
         assert abs(wachter_cdf(x, ratios) - value) < 1e-10
 
 
-def test_cdf_between_a_rounded_negative_left_edge_and_zero():
-    # at c1 = c2 the left edge 0 can round below zero; the law has no mass there
+def test_cdf_zero_at_and_below_an_equal_ratio_left_edge():
+    # at c1 = c2 the left edge is exactly 0, and the law has no mass at or below it
     ratios = DimensionRatios(0.0032421210605302654, 0.0032421210605302654)
-    d_left = wachter_edges(ratios).d_left
-    assert d_left < 0.0
-    assert wachter_cdf(d_left / 2, ratios) == 0.0
+    assert wachter_edges(ratios).d_left == 0.0
+    assert wachter_cdf(0.0, ratios) == 0.0
+    assert wachter_cdf(-1e-300, ratios) == 0.0
 
 
 def test_cdf_midpoint_regression(ratios):
