@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg.lapack import dpotrf, dtpqrt
 from scipy.special import ndtri
 
 from .errors import ConfigurationError, SingularityError, UnsupportedModelError
@@ -89,27 +89,24 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
     """Cheap proof that R passes the rank guard with room to spare.
 
     R'R - c I has a Cholesky factor only when every squared singular value of
-    R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, and |R|_F bounding the
-    largest singular value, success proves the guard passes, with a margin far
-    above the rounding of R'R and of the factorization.  Failure proves
-    nothing.  The proof is scale-invariant, so it runs on R scaled by the
-    exact power of two that brings max|R| into [1/2, 1): R'R then cannot
-    overflow, and only entries far below its scale can underflow.  One
-    Cholesky costs a small fraction of the singular values, whose bidiagonal
-    reduction is bound by memory bandwidth.
+    R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, |R|_F^2 read as the
+    trace of R'R and |R|_F bounding the largest singular value, success
+    proves the guard passes, with a margin far above the rounding of R'R and
+    of the factorization.  Failure proves nothing.  The proof is
+    scale-invariant, so it runs on R scaled by the exact power of two that
+    brings max|R| into [1/2, 1): R'R then cannot overflow, and only entries
+    far below its scale can underflow.  LAPACK's ``dpotrf`` factors the one
+    Gram in place (its transpose is Fortran-contiguous) and only its ``info``
+    is read.  One Cholesky costs a small fraction of the singular values,
+    whose bidiagonal reduction is bound by memory bandwidth.
     """
     largest = np.max(np.abs(R))
     if not (0.0 < largest < np.inf):
         return False
     R = np.ldexp(R, -np.frexp(largest)[1])
-    c = 100.0 * COND_THRESHOLD * np.linalg.norm(R) ** 2
     gram = R.T @ R
-    gram[np.diag_indices_from(gram)] -= c
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    gram[np.diag_indices_from(gram)] -= 100.0 * COND_THRESHOLD * np.trace(gram)
+    return dpotrf(gram.T, overwrite_a=1)[1] == 0
 
 
 def guard_rank(block: str, R: np.ndarray) -> None:

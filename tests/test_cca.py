@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -225,6 +226,24 @@ def test_guard_certificate_does_not_depend_on_the_scale():
             assert np.max(np.abs(scaled.lambdas - lambdas)) < 1e-12
 
 
+def test_guard_certificate_holds_one_gram_and_leaves_r_intact():
+    # beside a scaled copy of R, the certificate holds only the Gram it factors
+    # in place; the joint factor marks R read-only only after both guards ran
+    R = np.linalg.qr(standard_normal_matrix(seeded_rng(12), 1200, 400))[1]
+    big = np.zeros((500, 500), order="F")
+    big[:400, :400] = R
+    for block in (R, big[:400, :400]):  # the second is a strided view, as Ryy is
+        before = block.copy()
+        tracemalloc.start()
+        try:
+            assert _clearly_nonsingular(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block.nbytes
+        assert np.array_equal(block, before)
+
+
 def test_dimensions_must_leave_room():
     X = np.ones((3, 3))
     with pytest.raises(ConfigurationError):
@@ -357,6 +376,7 @@ def test_empirical_cdf_boundaries():
     assert empirical_cdf(report, 1.0) == 1.0
     assert empirical_cdf(report, 1.5) == 1.0
     assert empirical_cdf(report, -0.1) == 0.0
+    assert empirical_cdf(EigenReport(lambdas=[]), 0.5) == 0.0
 
 
 def test_empirical_cdf_rejects_nan():

@@ -126,6 +126,8 @@ def test_mixing_weights_accept_unit_spike():
     alpha, beta = mixing_weights(1.0)
     assert abs(alpha - 1.0 / math.sqrt(2.0)) < 1e-15
     assert alpha == beta
+    with pytest.raises(DomainError):
+        mixing_weights(1.5)
 
 
 def test_spectrum_ordering_enforced():

@@ -306,15 +306,20 @@ def test_nan_argument_is_a_domain_error(function, ratios):
 @pytest.mark.parametrize("offset", [1e-9, 1e-12, 0.0], ids=["1e-9", "1e-12", "next-float"])
 def test_gamma_inverse_just_above_edge(ratios, offset):
     # eigenvalues barely over the edge map to spikes barely over threshold; at the
-    # next float above d_right, the double root of gamma(r) = lam, r may round below r_c
-    crit = critical_threshold(ratios)
-    law = wachter_edges(ratios)
-    lam = law.d_right + offset if offset else math.nextafter(law.d_right, 1.0)
-    r = gamma_inverse(lam, ratios)
-    assert crit.r_c - 1e-14 <= r < crit.r_c + 1e-3
-    assert abs(gamma_map(r, ratios) - lam) <= 1e-12
-    if offset:
-        assert crit.r_c < r
+    # next float above d_right, the double root of gamma(r) = lam, r may round below r_c.
+    # At (p, q, n) = (29, 67, 100) that root's discriminant rounds below 0 and is clamped
+    for ratios in (ratios, DimensionRatios(0.29, 0.67)):
+        crit = critical_threshold(ratios)
+        law = wachter_edges(ratios)
+        lam = law.d_right + offset if offset else math.nextafter(law.d_right, 1.0)
+        r = gamma_inverse(lam, ratios)
+        assert crit.r_c - 1e-14 <= r < crit.r_c + 1e-3
+        assert abs(gamma_map(r, ratios) - lam) <= 1e-12
+        if offset:
+            assert crit.r_c < r
+        elif ratios.c1 == 0.29:
+            c1, c2 = ratios.c1, ratios.c2
+            assert (c1 + c2 - lam) ** 2 - 4.0 * c1 * c2 * (1.0 - lam) < 0.0
 
 
 # -- edge factor and companions ------------------------------------------------

@@ -155,6 +155,10 @@ def test_component_conjugate_symmetry(ratios):
         a = component_stieltjes(which, omega.conjugate(), z, ratios)
         b = np.conjugate(component_stieltjes(which, omega, z, ratios))
         assert abs(a - b) < 1e-13
+    # e2's R-transform just off its branch cut, where the root's argument is -0.29 + 0.03i
+    omega = complex(-1.0, 0.1)
+    a = component_r_transform("e2", omega.conjugate(), 0.75, ratios)
+    assert a == np.conjugate(component_r_transform("e2", omega, 0.75, ratios))
 
 
 def test_inverse_components_need_orientation():
@@ -174,6 +178,10 @@ def test_component_branch_error_on_support(ratios):
     # for z > 1 the e1 ensemble lives on the negative axis near zero
     with pytest.raises(BranchError):
         component_stieltjes("e1", -0.1, 1.5, ratios)
+    # e2's R-transform takes the square root of -0.29 there, real or complex
+    for omega in (-1.0, complex(-1.0, 0.0)):
+        with pytest.raises(BranchError):
+            component_r_transform("e2", omega, 0.75, ratios)
 
 
 # -- resolvent traces m1, m2 -----------------------------------------------------
