@@ -18,14 +18,16 @@ detect_margin a positive finite number; null is not a value for any key.
 top_m defaults to min(10, p, q).
 
 Exit codes: 0 success, 1 usage or configuration error (malformed config
-values or CSV entries, non-finite input and dimensions too large for numpy
-included), 2 I/O error, 3 numerical failure (singularity, branch or LAPACK
-errors) or out of memory.
+values or CSV entries, labelled or empty CSV files, non-finite input and
+dimensions too large for numpy included), 2 I/O error, 3 numerical failure
+(singularity, branch or LAPACK errors) or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -347,31 +349,42 @@ def _parse_spikes(text: str) -> list[float]:
 def load_matrix(path: str) -> np.ndarray:
     """Load a matrix from CSV (rows = variables, columns = samples).
 
-    The file is UTF-8 text; a byte-order mark is dropped.  A first line none
-    of whose comma-separated fields is a number is a header; any other first
-    line is data, so a malformed field there is an error, not a header.
+    The file is UTF-8 text; a byte-order mark and blank lines are dropped.
+    The lines go to numpy as they are read, so the file's text is never held.
+    A first line none of whose comma-separated fields is a number is a
+    header; any other first line is data, so a malformed field there is an
+    error, not a header.
+
+    Labels are never data: a first row or first column of 3 or more entries
+    that reads exactly 0, 1, …, m−1 or 1, …, m (a pandas index header or
+    label column) is refused, a real variable or sample of that form too.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = [line for line in handle if line.strip()]
+            lines = (line for line in handle if line.strip())
+            first = next(lines, "")
+            for tok in first.split(","):
+                with contextlib.suppress(ValueError):
+                    float(tok)
+                    break  # a numeric field: the first line is data
+            else:  # no numeric field: a header
+                first = next(lines, "")
+            if first:
+                matrix = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2, comments=None)
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"matrix file {path} is not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise ConfigurationError(f"matrix file {path} is empty")
-    for tok in lines[0].split(","):
-        try:
-            float(tok)
-            break
-        except ValueError:
-            pass
-    else:
-        lines = lines[1:]
-    if not lines:
-        raise ConfigurationError(f"matrix file {path} has a header but no data")
-    try:
-        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ConfigurationError(f"malformed matrix file {path}: {exc}") from exc
+    if not first:
+        raise ConfigurationError(f"matrix file {path} holds no data")
+    for where, labels in (("first row", matrix[0]), ("first column", matrix[:, 0])):
+        start = labels[0]
+        if labels.size >= 3 and start in (0, 1) and np.array_equal(labels, start + np.arange(labels.size)):
+            raise ConfigurationError(
+                f"matrix file {path} reads as labelled: its {where} counts {start:g}, {start + 1:g}, ...;"
+                " write the file without labels"
+            )
+    return matrix
 
 
 # The config keys are the init fields of the config type, the model's first.

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -18,10 +19,12 @@ from spikecca import (
 from spikecca.cli import (
     ExperimentConfig,
     default_detect_margin,
+    estimate_run,
     flatten_payload,
     load_matrix,
     main,
     payload_to_csv,
+    payload_to_json,
     run_replicate,
     simulate_run,
     theory_block,
@@ -457,12 +460,17 @@ def test_estimate_drops_a_byte_order_mark(tmp_path, capsys):
     assert plain[0] == 0 and json.loads(plain[1])["p"] == 20
 
 
-@pytest.mark.parametrize("kind", ["matrix", "config", "matrix_first_row", "config_nested"])
+@pytest.mark.parametrize("kind", ["matrix", "config", "matrix_first_row", "config_nested", "matrix_late"])
 def test_undecodable_input_exit_one(tmp_path, capsys, kind):
     path = tmp_path / "input"
     if kind.startswith("matrix"):
-        # a first row with a numeric field is data, not a header to drop
-        text = b"1,2.o,3\n4,5,6\n" if kind == "matrix_first_row" else b"\xff\xfe1,2\n3,4\n"
+        # a first row with a numeric field is data, not a header to drop; a bad
+        # byte past the first read buffer surfaces while numpy parses the lines
+        text = {
+            "matrix": b"\xff\xfe1,2\n3,4\n",
+            "matrix_first_row": b"1,2.o,3\n4,5,6\n",
+            "matrix_late": b"1,2\n" * 5000 + b"3,\xff\n",
+        }[kind]
         path.write_bytes(text)
         argv = ["estimate", "--x", str(path), "--y", str(path)]
     else:
@@ -473,6 +481,8 @@ def test_undecodable_input_exit_one(tmp_path, capsys, kind):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+    if kind in ("matrix", "matrix_late"):
+        assert "not UTF-8" in err
 
 
 @pytest.mark.parametrize(
@@ -513,6 +523,83 @@ def test_load_matrix_rejects_ragged(tmp_path):
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=re.escape(str(path))):
             load_matrix(str(path))
+
+
+def test_load_matrix_drops_blank_lines(tmp_path):
+    # bare np.loadtxt raises on a whitespace-only line between rows
+    path = tmp_path / "blank.csv"
+    path.write_text("1,2\n  \n3,4\n")
+    assert np.array_equal(load_matrix(str(path)), [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_load_matrix_never_holds_the_text(tmp_path, header):
+    # the lines go to numpy as they are read: holding them all first peaked
+    # at 3.8 times the array
+    matrix = np.random.default_rng(4).standard_normal((200, 2000))
+    path = tmp_path / "big.csv"
+    names = ",".join(f"s{j}" for j in range(2000)) if header else ""
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=names, comments="")
+    tracemalloc.start()
+    try:
+        loaded = load_matrix(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, matrix)
+    assert peak <= 2 * loaded.nbytes
+
+
+@pytest.mark.parametrize(
+    "text, labelled",
+    [
+        ("0,1,2\n5,6,7\n", True),
+        ("1,2,3\n5,6,7\n", True),
+        ("0.0,1.0,2.0\n5,6,7\n", True),
+        ("id,a,b\n1,5,6\n2,7,8\n3,9,9\n", True),  # a text header, then a label column
+        ("0,5\n1,6\n", False),  # a 2-entry ramp is ordinary binary data
+        ("0,1\n1,0\n", False),
+        ("0,1,3\n5,6,7\n", False),
+    ],
+)
+def test_load_matrix_refuses_labels(tmp_path, text, labelled):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    if labelled:
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + ".*without labels"):
+            load_matrix(str(path))
+    else:
+        load_matrix(str(path))
+
+
+@pytest.mark.parametrize("layout", ["plain", "index_header", "label_column", "later_ramps"])
+def test_estimate_refuses_labelled_files(tmp_path, capsys, layout):
+    # pandas' to_csv(index=False) writes a header 0, 1, …, n-1 and
+    # to_csv(header=False) leads each row with its label: read as data, both
+    # gave a confident false outlier (lambda = 1.0 and 0.836)
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((20, 400)), rng.standard_normal((30, 400))
+    paths = []
+    for name, mat in (("x", X), ("y", Y)):
+        written, header = mat, ""
+        if layout == "index_header":
+            header = ",".join(map(str, range(mat.shape[1])))
+        elif layout == "label_column":
+            written = np.column_stack([np.arange(mat.shape[0]), mat])
+        elif layout == "later_ramps":  # a ramp only in a later row and a later column is data
+            written = mat.copy()
+            written[1] = np.arange(mat.shape[1])
+            written[:, 1] = np.arange(mat.shape[0])
+        paths.append(tmp_path / f"{name}.csv")
+        np.savetxt(paths[-1], written, fmt="%.17g", delimiter=",", header=header, comments="")
+    code, out, err = run_cli(capsys, ["estimate", "--x", str(paths[0]), "--y", str(paths[1])])
+    if layout in ("index_header", "label_column"):
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "without labels" in err
+    else:
+        assert code == 0 and err == ""
+        if layout == "plain":  # the reader hands estimate the data bit for bit
+            assert out == payload_to_json(estimate_run(X, Y, None))
 
 
 # -- verify ------------------------------------------------------------------------
