@@ -19,7 +19,9 @@ cached joint factor [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], the one the canonical
 correlations use, or a factor the streamed coupled sampler built without
 the pair.  With X = W + T Y, Q'W' stacks A1 = Ryx - Ryy T' on Rxx, so
 Swy Syy^{-1} Syw = E = A1'A1/n and Sww = (A1'A1 + Rxx'Rxx)/n: no n-length
-array is read, and a rank-deficient W is rejected as a singular Sww.  One
+array is read, and a rank-deficient W is rejected as a singular Sww.  Sww is
+certified on that Gram, which the pencil needs anyway; [A1; Rxx] is stacked
+and guarded like any other block only when the certificate fails.  One
 generalized eigendecomposition E vecs = Sww vecs diag(mu) of this null
 pencil, with vecs' Sww vecs = I, gives Phi(lam) = vecs diag(1/(mu - lam)) vecs';
 the mu are the squared canonical correlations of the null pair (W, Y).  So
@@ -51,7 +53,7 @@ from .model import ratios_from_dims
 from .rmt import beyond_edge
 from .rmt import f as limit_f
 from .rmt import h as limit_h
-from .sampler import DataPair, JointFactor, guard_rank
+from .sampler import DataPair, JointFactor, _cholesky_with_margin, guard_rank
 
 _DELTA_CHECK_TOL = 1e-10
 
@@ -73,8 +75,11 @@ class DeterminantOracle:
     only part of them that Delta reads.  Every block, and t, p, q and n, come
     from ``pair.factor``, or from the given :class:`JointFactor`, so a pair
     needs p < n and q < n (:class:`ConfigurationError`) and nonsingular Sxx,
-    Syy and then Sww (:class:`SingularityError`).  A pair or factor without t
-    is rejected before a pair is factorized.
+    Syy and then Sww (:class:`SingularityError`).  Sww's rank guard runs its
+    Cholesky certificate on the oracle's own A1'A1 + Rxx'Rxx and stacks
+    [A1; Rxx] only when that Gram is out of range or the certificate fails,
+    so the reported condition still comes from the stack's singular values.
+    A pair or factor without t is rejected before a pair is factorized.
 
     The constructor builds the pencil, U, V, the Delta check and the
     projections V vecs and vecs' U; every other method reads them.  Use this
@@ -94,14 +99,21 @@ class DeterminantOracle:
         R_yk = factor.Ryy[:, :k]
         A = factor.Ryx.copy()
         A[:, :k] -= R_yk * self.t
-        # Sww = [A; Rxx]'[A; Rxx] / n
-        guard_rank("Sww", np.vstack((A, factor.Rxx)))
         with np.errstate(over="ignore", invalid="ignore"):
             gram = A.T @ A
-            self.E = gram / self.n
-            self.S_ww = (gram + factor.Rxx.T @ factor.Rxx) / self.n
+            total = factor.Rxx.T @ factor.Rxx
+            total += gram
             self.S_wy = A.T @ R_yk / self.n
             self.S_yy = R_yk.T @ R_yk / self.n
+        # Sww = [A; Rxx]'[A; Rxx] / n is certified on that Gram while it is
+        # finite and far above underflow; else [A; Rxx] is stacked and guarded
+        in_range = np.isfinite(total).all() and np.trace(total) > 2.0**-512
+        if not (in_range and _cholesky_with_margin(total.copy())):
+            guard_rank("Sww", np.vstack((A, factor.Rxx)))
+        del A  # the pencil's eigendecomposition runs without it
+        gram /= self.n
+        total /= self.n
+        self.E, self.S_ww = gram, total
         _require_finite("the null pencil's covariances", self.E, self.S_ww, self.S_wy, self.S_yy)
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
         self.mu, self.vecs = eigh(self.E, self.S_ww)
@@ -122,7 +134,8 @@ class DeterminantOracle:
         direct[:, :k] += self.S_wy * t
         direct[:k, :k] += t[:, None] * self.S_yy * t
         scale = max(1.0, float(np.max(np.abs(direct))))
-        err = float(np.max(np.abs(delta - direct)))
+        direct -= delta
+        err = float(np.max(np.abs(direct)))
         if err > _DELTA_CHECK_TOL * scale:
             raise NumericalError(
                 f"factorization check failed: |UV - Delta| = {err:.3e} "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtpqrt
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dtpqrt
 from scipy.special import ndtri
 
 from .errors import ConfigurationError, SingularityError, UnsupportedModelError
@@ -85,6 +85,16 @@ def _draw(rng: np.random.Generator, p: int, n: int, start: int, out: np.ndarray)
     ndtri(out, out=out)
 
 
+def _cholesky_with_margin(gram: np.ndarray) -> bool:
+    """Whether gram - 100 COND_THRESHOLD trace(gram) I has a Cholesky factor; gram is overwritten.
+
+    LAPACK's ``dpotrf`` factors the Gram in place (its transpose is
+    Fortran-contiguous) and only its ``info`` is read.
+    """
+    gram[np.diag_indices_from(gram)] -= 100.0 * COND_THRESHOLD * np.trace(gram)
+    return dpotrf(gram.T, overwrite_a=1)[1] == 0
+
+
 def _clearly_nonsingular(R: np.ndarray) -> bool:
     """Cheap proof that R passes the rank guard with room to spare.
 
@@ -92,21 +102,23 @@ def _clearly_nonsingular(R: np.ndarray) -> bool:
     R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, |R|_F^2 read as the
     trace of R'R and |R|_F bounding the largest singular value, success
     proves the guard passes, with a margin far above the rounding of R'R and
-    of the factorization.  Failure proves nothing.  The proof is
-    scale-invariant, so it runs on R scaled by the exact power of two that
-    brings max|R| into [1/2, 1): R'R then cannot overflow, and only entries
-    far below its scale can underflow.  LAPACK's ``dpotrf`` factors the one
-    Gram in place (its transpose is Fortran-contiguous) and only its ``info``
-    is read.  One Cholesky costs a small fraction of the singular values,
-    whose bidiagonal reduction is bound by memory bandwidth.
+    of the factorization (:func:`_cholesky_with_margin`, which the oracle's
+    Sww certificate shares).  Failure proves nothing.  The proof is
+    scale-invariant.  When max|R| lies in (2^-256, 2^256), R'R is formed on R
+    itself: it cannot overflow, and only entries far below its scale can
+    underflow.  Outside that range R is first scaled by the exact power of
+    two that brings max|R| into [1/2, 1).  A power of two commutes with every
+    rounding in R'R and its factorization, so both ways give one answer, and
+    in range only the one Gram is held.  One Cholesky costs a small fraction
+    of the singular values, whose bidiagonal reduction is bound by memory
+    bandwidth.
     """
     largest = np.max(np.abs(R))
     if not (0.0 < largest < np.inf):
         return False
-    R = np.ldexp(R, -np.frexp(largest)[1])
-    gram = R.T @ R
-    gram[np.diag_indices_from(gram)] -= 100.0 * COND_THRESHOLD * np.trace(gram)
-    return dpotrf(gram.T, overwrite_a=1)[1] == 0
+    if not 2.0**-256 < largest < 2.0**256:
+        R = np.ldexp(R, -np.frexp(largest)[1])
+    return _cholesky_with_margin(R.T @ R)
 
 
 def guard_rank(block: str, R: np.ndarray) -> None:
@@ -129,7 +141,8 @@ def _fold(width: int, n: int, fill) -> np.ndarray:
     the c x width Fortran-order block, goes through LAPACK's ``dtpqrt``, which
     updates the upper triangular R in place, starting from R = 0 (Demmel,
     Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012).  Only R and one
-    block of CHUNK samples are held.  R is min(n, width) x width.
+    block of CHUNK samples are held.  R is min(n, width) x width; when
+    n < width, its leading n rows are copied once the last block is freed.
     """
     R = np.zeros((width, width), order="F")
     nb = min(NB, width)
@@ -140,6 +153,7 @@ def _fold(width: int, n: int, fill) -> np.ndarray:
         R, _, _, info = dtpqrt(0, nb, R, block.T, overwrite_a=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtpqrt rejected argument {-info}")
+    buffer = block = None  # so a copy of R is not held beside the last block
     # rows past n hold only rounding: R of n samples has n rows
     return R if n >= width else R[:n].copy()
 
@@ -169,9 +183,20 @@ class JointFactor:
 
     @classmethod
     def _guarded(cls, R: np.ndarray, t, p: int, q: int, n: int) -> JointFactor:
-        """The factor of R: the small QR, the rank guard, then read-only views."""
-        Qx, Rx = np.linalg.qr(R[:, q:])
-        guard_rank("Sxx", Rx)
+        """The factor of R: the small QR, the rank guard, then read-only views.
+
+        [Ryx; Rxx] is copied once, in Fortran order; LAPACK's ``dgeqrf``
+        factors that copy in place, Sxx is guarded on Rx, its upper
+        triangle, and ``dorgqr`` then forms Qx over it, both with a blocked
+        workspace.
+        """
+        a, tau, _, info = dgeqrf(np.array(R[:, q:], order="F"), lwork=64 * p, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf rejected argument {-info}")
+        guard_rank("Sxx", np.triu(a[:p]))
+        Qx, _, info = dorgqr(a, tau, lwork=64 * p, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dorgqr rejected argument {-info}")
         guard_rank("Syy", R[:q, :q])
         R.flags.writeable = False
         Qx.flags.writeable = False

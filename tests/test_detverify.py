@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from spikecca import (
     SingularityError,
     SpikeSpectrum,
     UnsupportedModelError,
+    detverify,
     f,
     finite_n_det,
     ratios_from_dims,
@@ -200,10 +202,52 @@ def test_rank_deficient_noise_is_reported():
     W[0] = 0.0
     pair = coupled_pair(W, coupled.Y, coupled.t)
     assert squared_canonical_correlations(pair).lambdas[0] == pytest.approx(1.0)
+    # the Gram's certificate fails, so [A; Rxx] is stacked and its singular
+    # values give the reported condition
+    factor, t = pair.factor, pair.t
+    A = factor.Ryx.copy()
+    A[:, :1] -= factor.Ryy[:, :1] * t
+    with pytest.raises(SingularityError) as stacked:
+        sampler.guard_rank("Sww", np.vstack((A, factor.Rxx)))
     for compute in (DeterminantOracle, lambda pair: finite_n_det(pair, 0.95)):
         with pytest.raises(SingularityError) as info:
             compute(pair)
         assert info.value.block == "Sww"
+        assert info.value.condition == stacked.value.condition > 1e20
+
+
+def test_oracle_certifies_sww_on_its_own_gram(monkeypatch):
+    # a well-conditioned W is certified on A'A + Rxx'Rxx, which the pencil
+    # needs anyway: no (q + p) x p stack is built; stacking and scaling it
+    # peaked at 8.4 p x p arrays, and the eigendecomposition now sets the peak
+    p, q, n = 300, 100, 1000
+    cfg = ModelConfig(p=p, q=q, n=n, spikes=SpikeSpectrum((0.8, 0.6)), seed=3)
+    factor = sampler.sample_factor(cfg, seeded_rng(3))
+
+    def no_stacked_guard(block, R):
+        raise AssertionError(f"block {block!r} was stacked and guarded")
+
+    monkeypatch.setattr(detverify, "guard_rank", no_stacked_guard)
+    tracemalloc.start()
+    try:
+        oracle = DeterminantOracle(factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * p * p * 8
+    assert np.allclose(oracle.S_ww, oracle.E + factor.Rxx.T @ factor.Rxx / n, rtol=0, atol=1e-14)
+
+
+def test_oracle_guards_sww_on_the_stack_near_underflow(monkeypatch):
+    # a Gram near underflow is not certified on its own: its rounding could
+    # exceed the certificate's margin, so [A; Rxx] is stacked and guarded
+    p, q, n = 20, 30, 400
+    pair = sample_coupled(ModelConfig(p=p, q=q, n=n, spikes=SpikeSpectrum((0.8,)), seed=3))
+    guarded = []
+    monkeypatch.setattr(detverify, "guard_rank", lambda block, R: guarded.append((block, R.shape)))
+    for scale in (1.0, 1e-160):
+        DeterminantOracle(DataPair(X=pair.X * scale, Y=pair.Y * scale, t=pair.t))
+    assert guarded == [("Sww", (q + p, p))]
 
 
 def test_rank_deficient_x_and_y_report_sxx_first():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from spikecca import (
     standard_normal_matrix,
     subtract_means,
 )
-from spikecca.sampler import CHUNK, sample_factor
+from spikecca.sampler import CHUNK, JointFactor, _fold, sample_factor
 
 
 def config(p=20, q=30, n=200, spikes=(0.8, 0.5), seed=11):
@@ -163,6 +164,44 @@ def test_streamed_factor_equals_the_sampled_pairs(p, q, n, spikes, sample):
         assert np.array_equal(streamed.t, pair.t) and not streamed.t.flags.writeable
     assert (streamed.p, streamed.q, streamed.n) == (p, q, n)
     assert rng_streamed.bit_generator.state == rng_pair.bit_generator.state
+
+
+def traced_peak(compute):
+    """compute() and the peak of the memory it allocated, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        return compute(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fold_of_a_short_wide_pair_holds_r_or_its_copy_not_both():
+    # n < p + q: R's leading n rows are copied once the last block is freed
+    # (holding R, the block and the copy at once peaked at 1.48 times R and the block)
+    width, n = 500, 400
+    M = standard_normal_matrix(seeded_rng(5), width, n)
+
+    def fill(block, start):
+        block[:] = M[:, start : start + block.shape[1]]
+
+    R, peak = traced_peak(lambda: _fold(width, n, fill))
+    assert R.shape == (n, width) and not np.tril(R, -1).any()
+    assert np.allclose(R.T @ R, M @ M.T, rtol=0, atol=1e-10 * n)
+    assert peak <= 1.2 * (width * width + width * n) * 8
+
+
+def test_small_qr_factors_one_copy_in_place():
+    # [Ryx; Rxx] is copied once and factored in place: beside the Sxx guard's
+    # Rx and Gram, np.linalg.qr held its own copy and Qx (3.5 times [Ryx; Rxx])
+    p, q, n = 500, 100, 2000
+    R = np.asfortranarray(np.linalg.qr(standard_normal_matrix(seeded_rng(21), n, q + p), "r"))
+    before = R.copy()
+    factor, peak = traced_peak(lambda: JointFactor._guarded(R, None, p, q, n))
+    assert peak <= 1.1 * ((q + p) * p + 2 * p * p) * 8
+    assert np.array_equal(R, before)
+    Qx = factor.cosines.base
+    assert Qx.shape == (q + p, p) and np.allclose(Qx.T @ Qx, np.eye(p), rtol=0, atol=1e-13)
+    assert np.allclose(factor.cosines, np.linalg.qr(R[:, q:])[0][:q], rtol=0, atol=1e-13)
 
 
 def test_coupled_rejects_unit_spike():
