@@ -105,10 +105,8 @@ class DeterminantOracle:
             total += gram
             self.S_wy = A.T @ R_yk / self.n
             self.S_yy = R_yk.T @ R_yk / self.n
-        # Sww = [A; Rxx]'[A; Rxx] / n is certified on that Gram while it is
-        # finite and far above underflow; else [A; Rxx] is stacked and guarded
-        in_range = np.isfinite(total).all() and np.trace(total) > 2.0**-512
-        if not (in_range and _cholesky_with_margin(total.copy())):
+            certified = _cholesky_with_margin(total.copy())
+        if not certified:
             guard_rank("Sww", np.vstack((A, factor.Rxx)))
         del A  # the pencil's eigendecomposition runs without it
         gram /= self.n
@@ -116,7 +114,10 @@ class DeterminantOracle:
         self.E, self.S_ww = gram, total
         _require_finite("the null pencil's covariances", self.E, self.S_ww, self.S_wy, self.S_yy)
         # null pencil: E vecs = S_ww vecs diag(mu), vecs' S_ww vecs = I
-        self.mu, self.vecs = eigh(self.E, self.S_ww)
+        try:
+            self.mu, self.vecs = eigh(self.E, self.S_ww)
+        except np.linalg.LinAlgError:  # S_ww underflowed, though the stack passed its guard
+            raise NumericalError("the null pencil left double range; rescale X and Y") from None
         # Delta = B C B' through its rank-2k range, checked against the direct formula
         p, t = self.p, self.t
         B = np.zeros((p, 2 * k))

@@ -88,45 +88,35 @@ def _draw(rng: np.random.Generator, p: int, n: int, start: int, out: np.ndarray)
 def _cholesky_with_margin(gram: np.ndarray) -> bool:
     """Whether gram - 100 COND_THRESHOLD trace(gram) I has a Cholesky factor; gram is overwritten.
 
-    LAPACK's ``dpotrf`` factors the Gram in place (its transpose is
-    Fortran-contiguous) and only its ``info`` is read.
+    The one certificate that a Gram G = R'R passes the rank guard with room
+    to spare: the trace bounds G's largest eigenvalue, so success proves its
+    condition below 1 / COND_THRESHOLD, with a margin far above the rounding
+    of G and of the factorization.  Failure proves nothing.  It answers only
+    when trace(G) lies in (2^-512, inf) and declines elsewhere: a finite
+    trace bounds every entry (Cauchy-Schwarz), so G neither overflowed nor
+    holds NaN, and above 2^-512 the error of underflowed entries is far
+    below the margin.  LAPACK's ``dpotrf`` factors the Gram in place (its
+    transpose is Fortran-contiguous) and only its ``info`` is read.
     """
-    gram[np.diag_indices_from(gram)] -= 100.0 * COND_THRESHOLD * np.trace(gram)
+    trace = np.trace(gram)
+    if not 2.0**-512 < trace < np.inf:
+        return False
+    gram[np.diag_indices_from(gram)] -= 100.0 * COND_THRESHOLD * trace
     return dpotrf(gram.T, overwrite_a=1)[1] == 0
 
 
-def _clearly_nonsingular(R: np.ndarray) -> bool:
-    """Cheap proof that R passes the rank guard with room to spare.
-
-    R'R - c I has a Cholesky factor only when every squared singular value of
-    R exceeds c.  With c = 100 COND_THRESHOLD |R|_F^2, |R|_F^2 read as the
-    trace of R'R and |R|_F bounding the largest singular value, success
-    proves the guard passes, with a margin far above the rounding of R'R and
-    of the factorization (:func:`_cholesky_with_margin`, which the oracle's
-    Sww certificate shares).  Failure proves nothing.  The proof is
-    scale-invariant.  When max|R| lies in (2^-256, 2^256), R'R is formed on R
-    itself: it cannot overflow, and only entries far below its scale can
-    underflow.  Outside that range R is first scaled by the exact power of
-    two that brings max|R| into [1/2, 1).  A power of two commutes with every
-    rounding in R'R and its factorization, so both ways give one answer, and
-    in range only the one Gram is held.  One Cholesky costs a small fraction
-    of the singular values, whose bidiagonal reduction is bound by memory
-    bandwidth.
-    """
-    largest = np.max(np.abs(R))
-    if not (0.0 < largest < np.inf):
-        return False
-    if not 2.0**-256 < largest < 2.0**256:
-        R = np.ldexp(R, -np.frexp(largest)[1])
-    return _cholesky_with_margin(R.T @ R)
-
-
 def guard_rank(block: str, R: np.ndarray) -> None:
-    """Raise SingularityError(block) unless R'R's condition is below 1 / COND_THRESHOLD."""
+    """Raise SingularityError(block) unless R'R's condition is below 1 / COND_THRESHOLD.
+
+    R'R is formed once, on R itself, for the Cholesky certificate, which
+    costs a small fraction of the singular values; it is freed before they
+    judge a block the certificate declines.
+    """
     if R.shape[0] < R.shape[1]:  # R'R is singular
         raise SingularityError(block, np.inf)
-    if _clearly_nonsingular(R):
-        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _cholesky_with_margin(R.T @ R):
+            return
     s = np.linalg.svd(R, compute_uv=False)
     if not (s[0] > 0.0 and (s[-1] / s[0]) ** 2 > COND_THRESHOLD):
         cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2

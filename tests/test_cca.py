@@ -27,7 +27,7 @@ from spikecca import (
 )
 from spikecca.cca import RANGE_SLACK
 from spikecca.cli import main
-from spikecca.sampler import COND_THRESHOLD, _clearly_nonsingular, guard_rank
+from spikecca.sampler import COND_THRESHOLD, _cholesky_with_margin, guard_rank
 
 
 def random_pair(rng, p, q, n, k=0, spikes=None):
@@ -198,7 +198,7 @@ def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
     cleared = []
     for cond_sxx in np.geomspace(1.0, 1e12, 25):
         R = np.linalg.qr(conditioned_x(cond_sxx).T)[1]
-        if _clearly_nonsingular(R):
+        if _cholesky_with_margin(R.T @ R):
             s = np.linalg.svd(R, compute_uv=False)
             assert (s[-1] / s[0]) ** 2 > 100 * COND_THRESHOLD
             cleared.append(cond_sxx)
@@ -207,15 +207,26 @@ def test_guard_certificate_clears_only_blocks_far_from_the_threshold():
 
 
 def test_guard_certificate_does_not_depend_on_the_scale():
-    # the certificate runs on R scaled by a power of two, so R'R neither
-    # overflows near 1e160 nor underflows near 1e-160
-    outcomes = []
-    for cond_sxx in (1.0, 1e6, 1e10):
+    # at 2^530, R'R overflows, and at 2^-530 it underflows: the certificate
+    # declines, and the singular values give the decision, and the condition,
+    # of scale 1 (to rounding: LAPACK rescales such a block itself)
+    for cond_sxx in (1.0, 1e6, 1e11):
         R = np.linalg.qr(conditioned_x(cond_sxx).T)[1]
-        outcomes.append(_clearly_nonsingular(R))
-        for e in (530, -530):
-            assert _clearly_nonsingular(np.ldexp(R, e)) == outcomes[-1]
-    assert outcomes == [True, True, False]
+        conditions = []
+        for e in (0, 530, -530):
+            scaled = np.ldexp(R, e)
+            if e:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert not _cholesky_with_margin(scaled.T @ scaled)
+            try:
+                guard_rank("Sxx", scaled)
+                conditions.append(None)
+            except SingularityError as error:
+                conditions.append(error.condition)
+        if cond_sxx < 1e10:
+            assert conditions == [None] * 3
+        else:
+            assert conditions[1:] == pytest.approx([conditions[0]] * 2, rel=1e-12)
     cfg = ModelConfig(p=50, q=80, n=600, spikes=SpikeSpectrum((0.8, 0.6)), seed=7)
     pair = sample_coupled(cfg)
     lambdas = squared_canonical_correlations(pair).lambdas
@@ -226,33 +237,56 @@ def test_guard_certificate_does_not_depend_on_the_scale():
             assert np.max(np.abs(scaled.lambdas - lambdas)) < 1e-12
 
 
-def test_guard_certificate_gives_one_answer_on_both_sides_of_the_scaling_switch():
-    # R is scaled only when max|R| is outside (2^-256, 2^256); a power of two
-    # commutes with every rounding, so both ways give the same answer
-    for cond_sxx, expected in ((1.0, True), (1e10, False)):
-        R = np.linalg.qr(conditioned_x(cond_sxx).T)[1]
-        R = R / np.max(np.abs(R))  # max|R| is exactly 1
-        for e in (255, 256, 257, -255, -256, -257):
-            assert _clearly_nonsingular(np.ldexp(R, e)) == expected
+def test_guard_certificate_answers_only_inside_its_trace_window():
+    # the certificate answers when trace(G) lies in (2^-512, inf) and declines
+    # elsewhere, an overflowed or NaN Gram included, without a warning
+    edge = 2.0**-512
+    above = np.nextafter(edge, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trace, expected in ((edge, False), (above, True)):
+            gram = np.diag([edge / 2, trace - edge / 2])
+            assert np.trace(gram) == trace
+            assert _cholesky_with_margin(gram) == expected
+        for bad in (np.inf, np.nan):
+            assert not _cholesky_with_margin(np.diag([1.0, bad]))
 
 
-def test_guard_certificate_holds_one_gram_and_leaves_r_intact():
-    # an R in range is not copied: the certificate holds only the Gram it
-    # factors in place (a scaled copy beside it peaked at 2.0 R.nbytes);
-    # the joint factor marks R read-only only after both guards ran
+def test_guard_certificate_holds_one_gram_and_leaves_r_intact(monkeypatch):
+    # the guard forms only the Gram it factors in place, not a copy of R, and
+    # frees it before the singular values read a block the certificate
+    # declines; the joint factor marks R read-only only after both guards ran
     R = np.linalg.qr(standard_normal_matrix(seeded_rng(12), 1200, 400))[1]
     big = np.zeros((500, 500), order="F")
     big[:400, :400] = R
+    svd = np.linalg.svd
+    held = []
+
+    def svd_after_the_gram(a, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_after_the_gram)
     for block in (R, big[:400, :400]):  # the second is a strided view, as Ryy is
         before = block.copy()
         tracemalloc.start()
         try:
-            assert _clearly_nonsingular(block)
+            guard_rank("Syy", block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert not held  # the certificate passed the block
         assert peak <= 1.25 * block.nbytes
         assert np.array_equal(block, before)
+    singular = R.copy()
+    singular[:, -1] = singular[:, 0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularityError):
+            guard_rank("Syy", singular)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 0.25 * singular.nbytes
 
 
 def test_dimensions_must_leave_room():

@@ -421,8 +421,9 @@ def test_strong_spikes_certify_only_their_outliers():
 
 
 def test_oracle_fails_closed_past_double_range():
-    # the covariances overflow at X, Y x 1e160 and the reduced matrix at
-    # x 1e-160: both raise NumericalError, and no warning escapes
+    # the covariances overflow at X, Y x 1e160, the null pencil's S_ww
+    # underflows at x 1e-170 and the reduced matrix at x 1e-160: each raises
+    # NumericalError, and no warning escapes
     cfg = ModelConfig(p=20, q=30, n=400, spikes=SpikeSpectrum((0.8,)), seed=3)
     pair = sample_coupled(cfg)
     lam = float(squared_canonical_correlations(pair).lambdas[0])
@@ -432,8 +433,9 @@ def test_oracle_fails_closed_past_double_range():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="double range"):
-            DeterminantOracle(scaled(1e160))
+        for scale in (1e160, 1e-170):
+            with pytest.raises(NumericalError, match="double range"):
+                DeterminantOracle(scaled(scale))
         oracle = DeterminantOracle(scaled(1e-160))
         for evaluate in (oracle.normalized_det, oracle.mn_comparison):
             with pytest.raises(NumericalError, match="double range"):
