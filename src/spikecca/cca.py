@@ -7,11 +7,12 @@ or joint-covariance for unit spikes): the R factor of [Y' X'] = Q [[Ryy, Ryx],
 [0, Rxx]], folded in one block of samples at a time, and the small QR
 [Ryx; Rxx] = Qx Rx give orthonormal row-space bases Q[:, :q] of Y and Q Qx
 of X, so the cosines of the principal angles between the row spaces are
-the singular values of the factor's cosine block Qx[:q]; their squares are
-the eigenvalues of the canonical correlation matrix (Bjorck and Golub,
-"Numerical methods for computing angles between linear subspaces", Math.
-Comp. 1973).  A direct brute-force eigensolve of the textbook matrix product
-is kept as an oracle for small problems.
+the singular values of Qx[:q].  The factor takes them when it is built and
+keeps them as its ``cosines``; their squares are the eigenvalues of the
+canonical correlation matrix (Bjorck and Golub, "Numerical methods for
+computing angles between linear subspaces", Math. Comp. 1973).  A direct
+brute-force eigensolve of the textbook matrix product is kept as an oracle
+for small problems.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ def _clamp_spectrum(lam: np.ndarray, method: str) -> np.ndarray:
 def squared_canonical_correlations(pair: DataPair | JointFactor) -> EigenReport:
     """Squared sample canonical correlations by the projection method.
 
-    The squared singular values of the factor's ``cosines``: ``pair.factor``
-    for a pair, or the given :class:`JointFactor`.  A pair's factor requires
-    p < n and q < n and numerically nonsingular covariance blocks.  Values are
-    clamped to [0, 1] after a small-slack check; a violation beyond the slack
-    raises instead of silently clamping.
+    The squares of the factor's ``cosines``, the singular values of its
+    cosine block Qx[:q]: ``pair.factor`` for a pair, or the given
+    :class:`JointFactor`.  A pair's factor requires p < n and q < n and
+    numerically nonsingular covariance blocks.  Values are clamped to [0, 1]
+    after a small-slack check; a violation beyond the slack raises instead of
+    silently clamping.
     """
     factor = pair if isinstance(pair, JointFactor) else pair.factor
-    sigma = np.linalg.svd(factor.cosines, compute_uv=False)
+    sigma = factor.cosines
     lam = _clamp_spectrum(sigma * sigma, "stable")
     return EigenReport(lambdas=lam)
 

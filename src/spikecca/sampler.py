@@ -154,12 +154,14 @@ class JointFactor:
 
     [Y' X'] = Q [[Ryy, Ryx], [0, Rxx]], with R folded in from blocks of CHUNK
     samples (Q is never formed), and [Ryx; Rxx] = Qx Rx; Rxx is
-    (n - q) x p when p + q > n.  The singular values of ``cosines`` =
-    Qx[:q] are the cosines of the principal angles between the row spaces.
-    The blocks are read-only views of R and Qx, not copies.  Both builders,
-    :attr:`DataPair.factor` for held data and :func:`sample_factor` for a
-    streamed sampled pair, finish in one shared step whose rank guard
-    (:func:`guard_rank`) checks Sxx on Rx, then Syy on Ryy.
+    (n - q) x p when p + q > n.  ``cosines`` holds the min(p, q) cosines of
+    the principal angles between the row spaces, the singular values of
+    Qx[:q] in descending order; Qx itself is not kept.  The blocks are
+    read-only views of R, and the cosines a read-only vector of their own.
+    Both builders, :attr:`DataPair.factor` for held data and
+    :func:`sample_factor` for a streamed sampled pair, finish in one shared
+    step whose rank guard (:func:`guard_rank`) checks Sxx on Rx, then Syy on
+    Ryy.
     """
 
     Ryy: np.ndarray
@@ -173,12 +175,13 @@ class JointFactor:
 
     @classmethod
     def _guarded(cls, R: np.ndarray, t, p: int, q: int, n: int) -> JointFactor:
-        """The factor of R: the small QR, the rank guard, then read-only views.
+        """The factor of R: the small QR, the rank guard, the cosines, then read-only views.
 
         [Ryx; Rxx] is copied once, in Fortran order; LAPACK's ``dgeqrf``
         factors that copy in place, Sxx is guarded on Rx, its upper
         triangle, and ``dorgqr`` then forms Qx over it, both with a blocked
-        workspace.
+        workspace.  The cosines are taken from Qx[:q] and Qx is dropped
+        before Syy is guarded on Ryy, so only R and the cosines outlive it.
         """
         a, tau, _, info = dgeqrf(np.array(R[:, q:], order="F"), lwork=64 * p, overwrite_a=1)
         if info != 0:
@@ -187,10 +190,12 @@ class JointFactor:
         Qx, _, info = dorgqr(a, tau, lwork=64 * p, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dorgqr rejected argument {-info}")
+        cosines = np.linalg.svd(Qx[:q], compute_uv=False)
+        a = Qx = None
         guard_rank("Syy", R[:q, :q])
         R.flags.writeable = False
-        Qx.flags.writeable = False
-        return cls(R[:q, :q], R[:q, q:], R[q:, q:], Qx[:q], t, p, q, n)
+        cosines.flags.writeable = False
+        return cls(R[:q, :q], R[:q, q:], R[q:, q:], cosines, t, p, q, n)
 
 
 @dataclass(frozen=True)

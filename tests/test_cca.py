@@ -378,10 +378,9 @@ def test_spectrum_within_unit_interval():
 
 
 def factor_with_top_cosine(pair, top):
-    """The pair's joint factor, its cosine block scaled to top singular value top."""
+    """The pair's joint factor, its cosines scaled so that the largest is top."""
     factor = pair.factor
-    sigma = np.linalg.svd(factor.cosines, compute_uv=False)
-    return replace(factor, cosines=factor.cosines * (top / sigma[0]))
+    return replace(factor, cosines=factor.cosines * (top / factor.cosines[0]))
 
 
 def test_spectrum_range_slack(monkeypatch):

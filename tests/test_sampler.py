@@ -199,9 +199,27 @@ def test_small_qr_factors_one_copy_in_place():
     factor, peak = traced_peak(lambda: JointFactor._guarded(R, None, p, q, n))
     assert peak <= 1.1 * ((q + p) * p + 2 * p * p) * 8
     assert np.array_equal(R, before)
-    Qx = factor.cosines.base
-    assert Qx.shape == (q + p, p) and np.allclose(Qx.T @ Qx, np.eye(p), rtol=0, atol=1e-13)
-    assert np.allclose(factor.cosines, np.linalg.qr(R[:, q:])[0][:q], rtol=0, atol=1e-13)
+    cosines = np.linalg.svd(np.linalg.qr(R[:, q:])[0][:q], compute_uv=False)
+    assert np.allclose(factor.cosines, cosines, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("p, q", [(300, 100), (100, 300)])
+def test_joint_factor_keeps_the_cosines_not_qx(p, q):
+    # the cosines are taken from Qx[:q] and Qx, (q + p) x p, is dropped, so
+    # the step leaves only the cosines and a few Python objects (about 1 kB)
+    # allocated; a kept Qx would be 0.3 MB or more here
+    n = 1000
+    R = np.asfortranarray(np.linalg.qr(standard_normal_matrix(seeded_rng(22), n, q + p), "r"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factor = JointFactor._guarded(R, None, p, q, n)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert factor.cosines.shape == (min(p, q),)
+    assert factor.cosines.flags.owndata and factor.cosines.base is None
+    assert kept <= factor.cosines.nbytes + 4096
 
 
 def test_coupled_rejects_unit_spike():
@@ -357,12 +375,12 @@ def test_joint_factor_blocks_are_read_only_views(p, q, n):
     assert factor.Ryy.shape == (q, q)
     assert factor.Ryx.shape == (q, p)
     assert factor.Rxx.shape == (rows - q, p)
-    assert factor.cosines.shape == (q, p)
+    assert factor.cosines.shape == (min(p, q),) and not factor.cosines.flags.writeable
     R = factor.Ryy.base
     assert R.shape == (rows, q + p)
     assert factor.Ryx.base is R and factor.Rxx.base is R
     assert not np.tril(R, -1).any()
-    for block in (factor.Ryy, factor.Ryx, factor.Rxx, factor.cosines):
+    for block in (factor.Ryy, factor.Ryx, factor.Rxx):
         assert not block.flags.writeable and not block.flags.owndata
 
 
