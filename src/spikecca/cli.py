@@ -15,7 +15,9 @@ so main is not meant to run concurrently in one process.
 Config values are checked, never converted: p, q, n, seed, replicates and
 top_m must be integers, spikes a list of numbers or a comma-separated string,
 detect_margin a positive finite number; null is not a value for any key.
-top_m defaults to min(10, p, q).
+top_m defaults to min(10, p, q).  A run's design and detection rule are one
+ExperimentConfig, which estimate builds from its data's shape, so simulate,
+verify and estimate call an eigenvalue above d_right + detect_margin an outlier.
 
 Exit codes: 0 success, 1 usage or configuration error (malformed config
 values or CSV entries, labelled or empty CSV files, non-finite input and
@@ -31,13 +33,13 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import blas, cca, detverify, rmt, sampler
 from .errors import ConfigurationError, NumericalError, SpikeCcaError, UnsupportedModelError
-from .model import DimensionRatios, ModelConfig, SpikeSpectrum, ratios_from_dims
+from .model import DimensionRatios, ModelConfig, SpikeSpectrum, _check_rank, ratios_from_dims
 
 FIGURE_PRESET = {"p": 500, "q": 1000, "n": 5000, "spikes": [0.8, 0.7, 0.6, 0.16, 0.15]}
 
@@ -53,27 +55,21 @@ def default_detect_margin(n: int) -> float:
     return max(0.02, 2.0 * float(n) ** (-2.0 / 3.0))
 
 
-def _detect_margin(margin, n: int) -> float:
-    """``default_detect_margin(n)`` for None; otherwise a finite number > 0."""
-    if margin is None:
-        return default_detect_margin(n)
-    if isinstance(margin, bool) or not (isinstance(margin, (int, float)) and 0 < margin < math.inf):
-        raise ConfigurationError(f"detect_margin must be a positive finite number, got {margin!r}")
-    return float(margin)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig(ModelConfig):
-    """A Monte Carlo experiment: the model's fields, then orchestration parameters.
+    """A run's design and detection rule: the model's fields, then the run's parameters.
 
     ``top_m=None`` resolves to min(10, p, q) and ``detect_margin=None`` to
-    :func:`default_detect_margin` of n.
+    :func:`default_detect_margin` of n.  ``d_right`` is the design's bulk edge
+    and ``threshold`` = d_right + detect_margin the outlier threshold.
     """
 
     replicates: int = 1
     top_m: int | None = None
     detect_margin: float | None = None
     outputs: tuple[str, ...] = _FORMATS[:1]
+    d_right: float = field(init=False, repr=False, compare=False)
+    threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -86,12 +82,17 @@ class ExperimentConfig(ModelConfig):
                 f"top_m must be an integer in [1, min(p, q)] = [1, {dim}], got {top_m!r}"
             )
         object.__setattr__(self, "top_m", top_m)
-        object.__setattr__(self, "detect_margin", _detect_margin(self.detect_margin, self.n))
+        margin = default_detect_margin(self.n) if self.detect_margin is None else self.detect_margin
+        if isinstance(margin, bool) or not (isinstance(margin, (int, float)) and 0 < margin < math.inf):
+            raise ConfigurationError(f"detect_margin must be a positive finite number, got {margin!r}")
+        object.__setattr__(self, "detect_margin", float(margin))
         outputs = self.outputs
         if not (isinstance(outputs, (list, tuple)) and outputs
                 and all(fmt in _FORMATS for fmt in outputs)):
             raise ConfigurationError(f"outputs must list one or more of {_FORMATS}, got {outputs!r}")
         object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "d_right", rmt.wachter_edges(self.ratios).d_right)
+        object.__setattr__(self, "threshold", self.d_right + self.detect_margin)
 
 
 def theory_block(ratios: DimensionRatios, spikes: SpikeSpectrum) -> dict:
@@ -139,25 +140,24 @@ def run_replicate(
     return factor, report.lambdas[:config.top_m]
 
 
-def _outliers(lambdas: np.ndarray, threshold: float) -> list[tuple[int, float]]:
-    """(rank, eigenvalue) of every eigenvalue above the detection threshold."""
-    return [(rank, float(lam)) for rank, lam in enumerate(lambdas) if lam > threshold]
+def _outliers(lambdas: np.ndarray, config: ExperimentConfig) -> list[tuple[int, float]]:
+    """(rank, eigenvalue) of every eigenvalue above the run's detection threshold."""
+    return [(rank, float(lam)) for rank, lam in enumerate(lambdas) if lam > config.threshold]
 
 
-def _estimates_for(lambdas: np.ndarray, ratios: DimensionRatios, threshold: float) -> list[dict]:
+def _estimates_for(lambdas: np.ndarray, config: ExperimentConfig) -> list[dict]:
     return [
-        {"rank": rank, "lambda": lam, "r_hat": rmt.gamma_inverse(lam, ratios)}
-        for rank, lam in _outliers(lambdas, threshold)
+        {"rank": rank, "lambda": lam, "r_hat": rmt.gamma_inverse(lam, config.ratios)}
+        for rank, lam in _outliers(lambdas, config)
     ]
 
 
-def _payload_header(config: ExperimentConfig) -> tuple[dict, dict, float]:
-    """The config echo, the theory block and the detection threshold of a run."""
+def _payload_header(config: ExperimentConfig) -> tuple[dict, dict]:
+    """The config echo and the theory block of a run."""
     # every config key but outputs, which only picks the payload's format
     echo = {key: getattr(config, key) for key in _KEYS if key != "outputs"}
     echo["spikes"] = list(config.spikes.r)
-    theory = theory_block(config.ratios, config.spikes)
-    return echo, theory, theory["d_right"] + config.detect_margin
+    return echo, theory_block(config.ratios, config.spikes)
 
 
 def simulate_run(config: ExperimentConfig) -> dict:
@@ -167,13 +167,13 @@ def simulate_run(config: ExperimentConfig) -> dict:
     data; the theory block depends only on the dimension ratios and spikes,
     never on the random draws.  Row i depends only on replicate i's stream.
     """
-    echo, theory, threshold = _payload_header(config)
+    echo, theory = _payload_header(config)
     top_matrix = np.vstack([run_replicate(config, i)[1] for i in range(config.replicates)])
     replicate_rows = [
         {
             "index": i,
             "top": [float(v) for v in top_matrix[i]],
-            "estimates": _estimates_for(top_matrix[i], config.ratios, threshold),
+            "estimates": _estimates_for(top_matrix[i], config),
         }
         for i in range(config.replicates)
     ]
@@ -191,7 +191,7 @@ def simulate_run(config: ExperimentConfig) -> dict:
             "theory_lines": {
                 "d_left": theory["d_left"],
                 "d_right": theory["d_right"],
-                "detect_threshold": threshold,
+                "detect_threshold": config.threshold,
                 "gamma": [row["gamma"] for row in theory["spikes"] if row["gamma"] is not None],
             },
         },
@@ -201,27 +201,24 @@ def simulate_run(config: ExperimentConfig) -> dict:
 def estimate_run(X: np.ndarray, Y: np.ndarray, detect_margin: float | None) -> dict:
     """Estimate spikes from data matrices (rows are variables, columns samples)."""
     pair = sampler.DataPair(X=X, Y=Y)
-    ratios = ratios_from_dims(pair.p, pair.q, pair.n)
-    margin = _detect_margin(detect_margin, pair.n)
-    law = rmt.wachter_edges(ratios)
+    design = ExperimentConfig(pair.p, pair.q, pair.n, SpikeSpectrum(()), detect_margin=detect_margin)
     report = cca.squared_canonical_correlations(pair)
-    threshold = law.d_right + margin
-    outliers = _estimates_for(report.lambdas, ratios, threshold)
+    outliers = _estimates_for(report.lambdas, design)
     n_out = len(outliers)
     return {
         "p": pair.p,
         "q": pair.q,
         "n": pair.n,
-        "c1_hat": ratios.c1,
-        "c2_hat": ratios.c2,
-        "d_right": law.d_right,
-        "detect_margin": margin,
+        "c1_hat": design.ratios.c1,
+        "c2_hat": design.ratios.c2,
+        "d_right": design.d_right,
+        "detect_margin": design.detect_margin,
         "outliers": outliers,
         "bulk": [float(v) for v in report.lambdas[n_out:]],
     }
 
 
-def _verify_replicate(config: ExperimentConfig, index: int, threshold: float, z: float) -> dict:
+def _verify_replicate(config: ExperimentConfig, index: int, z: float) -> dict:
     """One replicate's row of the verify payload.
 
     The joint factor and its oracle live only in this call, so a run holds
@@ -231,7 +228,7 @@ def _verify_replicate(config: ExperimentConfig, index: int, threshold: float, z:
     oracle = detverify.DeterminantOracle(factor)
     outliers = [
         {"lambda": lam, "normalized_det": oracle.normalized_det(lam)}
-        for _, lam in _outliers(top, threshold)
+        for _, lam in _outliers(top, config)
     ]
     return {
         "index": index,
@@ -251,9 +248,9 @@ def verify_run(config: ExperimentConfig) -> dict:
         raise ConfigurationError("verification needs at least one spike")
     if 1.0 in config.spikes.r:
         raise UnsupportedModelError("verify: a unit spike r = 1 has no finite strength t to certify")
-    echo, theory, threshold = _payload_header(config)
-    z = (theory["d_right"] + 1.0) / 2.0
-    rows = [_verify_replicate(config, index, threshold, z) for index in range(config.replicates)]
+    echo, theory = _payload_header(config)
+    z = (config.d_right + 1.0) / 2.0
+    rows = [_verify_replicate(config, index, z) for index in range(config.replicates)]
     residuals = [abs(o["normalized_det"]) for row in rows for o in row["outliers"]]
     return {
         "config": echo,
@@ -467,15 +464,16 @@ def build_parser() -> _Parser:
 
 
 def _cmd_limits(args) -> dict:
+    spikes = SpikeSpectrum(_parse_spikes(args.spikes or ""))
     if args.c1 is not None or args.c2 is not None:
         if args.c1 is None or args.c2 is None:
             raise ConfigurationError("provide both --c1 and --c2")
         ratios = DimensionRatios(args.c1, args.c2)
     elif args.p is not None and args.q is not None and args.n is not None:
         ratios = ratios_from_dims(args.p, args.q, args.n)
+        _check_rank(spikes.k, args.p, args.q)
     else:
         raise ConfigurationError("provide either --c1/--c2 or --p/--q/--n")
-    spikes = SpikeSpectrum(_parse_spikes(args.spikes or ""))
     return theory_block(ratios, spikes)
 
 

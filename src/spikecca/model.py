@@ -62,6 +62,12 @@ def ratios_from_dims(p: int, q: int, n: int) -> DimensionRatios:
     return DimensionRatios(p / n, q / n)
 
 
+def _check_rank(k: int, p: int, q: int) -> None:
+    """Raise :class:`ConfigurationError` unless k spikes fit the design: k <= min(p, q)."""
+    if k > min(p, q):
+        raise ConfigurationError(f"violated k <= min(p, q): k = {k}, min(p, q) = {min(p, q)}")
+
+
 @dataclass(frozen=True)
 class SpikeSpectrum:
     """Ordered squared population canonical correlations r_1 >= ... >= r_k.
@@ -118,11 +124,7 @@ class ModelConfig:
                 f"numpy's {sys.maxsize}-byte array limit"
             )
         object.__setattr__(self, "ratios", ratios_from_dims(self.p, self.q, self.n))
-        if self.spikes.k > min(self.p, self.q):
-            raise ConfigurationError(
-                f"violated k <= min(p, q): k = {self.spikes.k}, "
-                f"min(p, q) = {min(self.p, self.q)}"
-            )
+        _check_rank(self.spikes.k, self.p, self.q)
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 

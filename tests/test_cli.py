@@ -101,6 +101,31 @@ def test_limits_unit_spike_flagged_deterministic(capsys):
     assert row["gamma"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["limits", "simulate"])
+def test_more_spikes_than_min_dimension_exit_one(capsys, command):
+    # limits checks the model's rank against given dimensions with simulate's own line
+    spikes = ",".join(["0.9"] * 6)
+    code, out, err = run_cli(capsys, [command, "--p", "5", "--q", "5", "--n", "100", "--spikes", spikes])
+    assert (code, out) == (1, "")
+    assert err == "error: violated k <= min(p, q): k = 6, min(p, q) = 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        # --c1/--c2 carry no p or q to check the spike count against
+        (["--c1", "0.1", "--c2", "0.2", "--spikes", ",".join(["0.9"] * 6)], 6),
+        # limits never samples, so numpy's array limit, which simulate enforces, does not apply
+        (["--p", "536870912", "--q", "536870913", "--n", "1073741826"], 0),
+    ],
+    ids=["ratios_unchecked_rank", "unindexable_dimensions"],
+)
+def test_limits_checks_only_what_it_is_given(capsys, argv, k):
+    code, out, err = run_cli(capsys, ["limits", *argv])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["spikes"]) == k
+
+
 def test_limits_requires_ratios(capsys):
     for argv in (["limits", "--spikes", "0.5"], ["limits", "--c1", "0.1"]):
         code, _, err = run_cli(capsys, argv)
@@ -704,6 +729,42 @@ def test_verify_needs_a_spike(capsys):
         capsys, ["verify", "--p", "40", "--q", "80", "--n", "400", "--spikes", ""]
     )
     assert code == 1
+
+
+# -- one detection rule across commands ------------------------------------------------
+
+
+def test_estimate_and_simulate_form_one_threshold(tmp_path, capsys):
+    # at one design and margin, estimate's two terms sum to simulate's threshold bit for bit
+    cfg = ModelConfig(p=50, q=80, n=600, spikes=SpikeSpectrum((0.8, 0.6)), seed=7)
+    x_path, y_path = write_pair(tmp_path, sample_coupled(cfg))
+    code, out, _ = run_cli(capsys, ["estimate", "--x", x_path, "--y", y_path, "--detect-margin", "0.05"])
+    assert code == 0
+    estimate = json.loads(out)
+    code, out, _ = run_cli(
+        capsys, ["simulate", "--p", "50", "--q", "80", "--n", "600", "--spikes", "0.8,0.6", "--detect-margin", "0.05"]
+    )
+    assert code == 0
+    threshold = json.loads(out)["plot"]["theory_lines"]["detect_threshold"]
+    assert estimate["d_right"] + estimate["detect_margin"] == threshold
+    assert estimate["outliers"]
+    assert all(row["lambda"] > threshold for row in estimate["outliers"])
+    assert all(lam <= threshold for lam in estimate["bulk"])
+
+
+def test_verify_certifies_exactly_the_outliers_simulate_estimates(capsys):
+    argv = ["--p", "50", "--q", "80", "--n", "600", "--spikes", "0.8,0.6,0.16", "--seed", "7",
+            "--replicates", "3", "--detect-margin", "0.03"]
+    code, out, _ = run_cli(capsys, ["simulate", *argv])
+    assert code == 0
+    simulated = json.loads(out)["replicates"]
+    code, out, _ = run_cli(capsys, ["verify", *argv])
+    assert code == 0
+    verified = json.loads(out)["replicates"]
+    assert len(simulated) == len(verified) == 3
+    for sim_row, verify_row in zip(simulated, verified):
+        lambdas = [row["lambda"] for row in verify_row["outliers"]]
+        assert lambdas and lambdas == [row["lambda"] for row in sim_row["estimates"]]
 
 
 # -- argument handling ----------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spikecca as sc
@@ -31,3 +32,24 @@ def test_config_echo_follows_the_documented_keys(capsys, command):
     assert main([command, "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload["config"]) == [key for key in keys if key != "outputs"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "estimate", "limits"])
+def test_payload_fields_follow_the_documented_lists(tmp_path, capsys, command):
+    # each command's top-level payload keys are the README's list, in its order
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(rf"^- `{command}`: ((?:`\w+`,\s+)*`\w+`)", text, re.M)
+    assert listed, f"README lists no payload fields for {command}"
+    fields = re.findall(r"`(\w+)`", listed.group(1))
+    if command == "estimate":
+        pair = sc.sample_coupled(sc.ModelConfig(p=20, q=30, n=200, spikes=sc.SpikeSpectrum((0.8,))))
+        argv = ["estimate"]
+        for flag, matrix in (("--x", pair.X), ("--y", pair.Y)):
+            path = tmp_path / f"{flag[2:]}.csv"
+            np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+            argv += [flag, str(path)]
+    else:
+        argv = [command, "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == fields
