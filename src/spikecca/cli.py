@@ -19,10 +19,12 @@ top_m defaults to min(10, p, q).  A run's design and detection rule are one
 ExperimentConfig, which estimate builds from its data's shape, so simulate,
 verify and estimate call an eigenvalue above d_right + detect_margin an outlier.
 
-Exit codes: 0 success, 1 usage or configuration error (malformed config
-values or CSV entries, labelled or empty CSV files, non-finite input and
-dimensions too large for numpy included), 2 I/O error, 3 numerical failure
-(singularity, branch or LAPACK errors) or out of memory.
+main is the entry point of the spikecca script and of python -m spikecca.cli.
+Its exit codes: 0 success, 1 configuration error (usage errors, such as an
+unknown flag or a missing value, malformed config values or CSV entries,
+labelled or empty CSV files, non-finite input and dimensions too large for
+numpy included), 2 I/O error, 3 numerical failure (singularity, branch or
+LAPACK errors) or out of memory; each failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -324,13 +326,9 @@ def emit(payload: dict, outputs: tuple[str, ...], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # map argparse usage failures to exit code 1
-        raise _UsageError(message)
+    def error(self, message):  # a usage error is a configuration error: exit 1
+        raise ConfigurationError(message)
 
 
 def _parse_spikes(text: str) -> list[float]:
@@ -465,45 +463,34 @@ def build_parser() -> _Parser:
 
 def _cmd_limits(args) -> dict:
     spikes = SpikeSpectrum(_parse_spikes(args.spikes or ""))
-    if args.c1 is not None or args.c2 is not None:
-        if args.c1 is None or args.c2 is None:
-            raise ConfigurationError("provide both --c1 and --c2")
-        ratios = DimensionRatios(args.c1, args.c2)
-    elif args.p is not None and args.q is not None and args.n is not None:
-        ratios = ratios_from_dims(args.p, args.q, args.n)
+    ratios, dims = (args.c1, args.c2), (args.p, args.q, args.n)
+    if None not in ratios and dims == (None, None, None):
+        return theory_block(DimensionRatios(*ratios), spikes)
+    if None not in dims and ratios == (None, None):
+        design = ratios_from_dims(*dims)
         _check_rank(spikes.k, args.p, args.q)
-    else:
-        raise ConfigurationError("provide either --c1/--c2 or --p/--q/--n")
-    return theory_block(ratios, spikes)
+        return theory_block(design, spikes)
+    raise ConfigurationError("provide --c1 and --c2, or --p, --q and --n, but not both")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)  # before the pin: --help pins nothing
+        with blas.single_thread():
+            outputs = (args.format or _FORMATS[0],)
+            if args.command == "limits":
+                payload = _cmd_limits(args)
+            elif args.command == "estimate":
+                payload = estimate_run(load_matrix(args.x), load_matrix(args.y), args.detect_margin)
+            else:
+                config = resolve_experiment(args)
+                payload = (simulate_run if args.command == "simulate" else verify_run)(config)
+                outputs = config.outputs
+            emit(payload, outputs, args.out)
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    with blas.single_thread():
-        return _dispatch(args)
-
-
-def _dispatch(args) -> int:
-    """Run one parsed command, emit its payload and return the exit code."""
-    try:
-        outputs = (args.format or _FORMATS[0],)
-        if args.command == "limits":
-            payload = _cmd_limits(args)
-        elif args.command == "estimate":
-            payload = estimate_run(load_matrix(args.x), load_matrix(args.y), args.detect_margin)
-        else:
-            config = resolve_experiment(args)
-            payload = (simulate_run if args.command == "simulate" else verify_run)(config)
-            outputs = config.outputs
-        emit(payload, outputs, args.out)
-        return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
@@ -518,9 +505,5 @@ def _dispatch(args) -> int:
         return 1
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -94,6 +94,15 @@ def test_no_openblas_found_leaves_counts_alone(controls, monkeypatch, capsys):
     assert counts(controls) == [2] * len(controls)
 
 
+def test_unreadable_maps_find_no_openblas(monkeypatch):
+    # without a readable /proc/self/maps (not Linux, or no procfs) no OpenBLAS is found
+    def refuse(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/maps")
+
+    monkeypatch.setattr(blas, "open", refuse, raising=False)
+    assert blas.loaded_openblas() == []
+
+
 def test_pinned_only_when_every_openblas_has_controls(controls, monkeypatch, tmp_path):
     with blas.single_thread() as pinned:
         assert pinned is True

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -7,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spikecca
 from spikecca import (
     ConfigurationError,
     ModelConfig,
@@ -127,10 +131,20 @@ def test_limits_checks_only_what_it_is_given(capsys, argv, k):
 
 
 def test_limits_requires_ratios(capsys):
-    for argv in (["limits", "--spikes", "0.5"], ["limits", "--c1", "0.1"]):
-        code, _, err = run_cli(capsys, argv)
-        assert code == 1
-        assert "c1" in err
+    # one design, both ratios or all three dimensions: none of a mixed or
+    # partial one is dropped (the first mixed input gave c1 = 0.1 and no rank check)
+    six = ",".join(["0.9"] * 6)
+    for argv in (
+        ["limits", "--spikes", "0.5"],
+        ["limits", "--c1", "0.1"],
+        ["limits", "--c1", "0.1", "--c2", "0.2", "--p", "5", "--q", "5", "--n", "100", "--spikes", six],
+        ["limits", "--c1", "0.1", "--c2", "0.2", "--n", "100"],
+        ["limits", "--c1", "0.1", "--p", "5", "--q", "5", "--n", "100"],
+        ["limits", "--p", "5", "--q", "5"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: provide --c1 and --c2, or --p, --q and --n, but not both\n"
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -799,6 +813,32 @@ def test_unknown_command_exit_one(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["simulate", "--p", "5", "--q"], 1, r"error: argument --q: expected one argument\n"),
+        (["--help"], 0, ""),
+        (
+            ["verify", "--p", "5", "--q", "8", "--n", "20", "--spikes", "0.99999999999", "--seed", "2"],
+            3,
+            r"numerical failure: block 'Sxx' is numerically singular \(condition estimate \S+\)\n",
+        ),
+    ],
+    ids=["usage", "help", "singular"],
+)
+def test_module_runs_main_to_its_exit_code(argv, code, err):
+    # python -m spikecca.cli, as a process: its exit status and streams, not main's return value
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spikecca.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spikecca.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert re.fullmatch(err, proc.stderr)
+    assert proc.stdout.startswith("usage: spikecca") if code == 0 else proc.stdout == ""
 
 
 def test_theory_block_matches_module_values():

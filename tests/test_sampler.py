@@ -15,12 +15,14 @@ from spikecca import (
     replicate_rng,
     sample_coupled,
     sample_general,
+    sampler,
     seeded_rng,
     spike_to_t,
     squared_canonical_correlations,
     standard_normal_matrix,
     subtract_means,
 )
+from spikecca.cli import main
 from spikecca.sampler import CHUNK, JointFactor, _fold, sample_factor
 
 
@@ -201,6 +203,19 @@ def test_small_qr_factors_one_copy_in_place():
     assert np.array_equal(R, before)
     cosines = np.linalg.svd(np.linalg.qr(R[:, q:])[0][:q], compute_uv=False)
     assert np.allclose(factor.cosines, cosines, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("routine", ["dtpqrt", "dgeqrf", "dorgqr"])
+def test_lapack_rejection_is_a_numerical_failure(monkeypatch, capsys, routine):
+    # a negative info (LAPACK rejected an argument) raises, and the CLI exits 3 on it
+    real = getattr(sampler, routine)
+    monkeypatch.setattr(sampler, routine, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], -2))
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} rejected argument 2$"):
+        sample_factor(config(), replicate_rng(11, 0))
+    assert main(["simulate", "--p", "20", "--q", "30", "--n", "200", "--spikes", "0.8", "--seed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {routine} rejected argument 2\n"
 
 
 @pytest.mark.parametrize("p, q", [(300, 100), (100, 300)])
